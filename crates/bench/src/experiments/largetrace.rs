@@ -97,16 +97,24 @@ pub fn run(scale: f64) -> String {
         compress_wall,
         gib(comp * extra)
     ));
-    // The paper's stated future work: a binary trace format.
-    let bin_dir = dir.join("ti-bin");
-    let (text_bytes, bin_bytes) =
-        // panics: experiment inputs are generated, so failure is a bench bug
-        tit_core::binfmt::convert_dir(&res.ti_dir, &bin_dir, nproc).expect("binary convert");
+    // The paper's stated future work, a binary trace format: the TIB2
+    // segmented store `tit-replay --store` reads (docs/FORMATS.md §5).
+    let store = dir.join("trace.tib2");
+    let tib2 = tit_core::tib2::convert_dir_atomic(
+        &res.ti_dir,
+        nproc,
+        &store,
+        tit_core::tib2::DEFAULT_SEG_ACTIONS,
+        0,
+    )
+    // panics: experiment inputs are generated, so failure is a bench bug
+    .expect("TIB2 convert");
+    let bin = tib2.bytes as f64;
     out.push_str(&format!(
-        "binary TI:   {:.3} GiB measured ({:.1}x smaller than text); x itmax {:.1} GiB (the paper's future-work format)\n",
-        gib(bin_bytes as f64),
-        text_bytes as f64 / bin_bytes as f64,
-        gib(bin_bytes as f64 * extra)
+        "TIB2 store:  {:.3} GiB measured ({:.2}x the text size, fixed-width columns); x itmax {:.1} GiB (the paper's future-work binary format)\n",
+        gib(bin),
+        bin / ti,
+        gib(bin * extra)
     ));
     out.push_str(&format!(
         "pipeline wall-clock on this machine: {wall:.0} s\n"

@@ -29,7 +29,7 @@ use simkern::resource::HostId;
 use tit_core::TiTrace;
 use tit_platform::desc::PlatformDesc;
 use tit_platform::presets;
-use tit_replay::{replay_memory, replay_memory_observed, tags, ReplayConfig};
+use tit_replay::{replay, replay_memory, tags, ReplayConfig, Sources};
 use titobs::{TimeResolved, WindowSpec};
 
 /// The full-hook no-op observer: every method overridden to nothing, so
@@ -48,12 +48,9 @@ fn replay_wall(trace: &TiTrace, nproc: usize, extra: Option<Box<dyn Observer>>) 
     let platform = PlatformDesc::single(presets::bordereau_one_core(nproc)).build();
     let hosts: Vec<HostId> = (0..nproc as u32).map(HostId).collect();
     let cfg = ReplayConfig::default();
-    let out = match extra {
-        None => replay_memory(trace, platform, &hosts, &cfg),
-        Some(obs) => replay_memory_observed(trace, platform, &hosts, &cfg, Some(obs)),
-    }
-    // panics: experiment inputs are generated, so failure is a bench bug
-    .expect("replay of a well-formed generated trace");
+    let out = replay(Sources::memory(trace), platform, &hosts, &cfg, extra)
+        // panics: experiment inputs are generated, so failure is a bench bug
+        .expect("replay of a well-formed generated trace");
     out.wall_time.as_secs_f64()
 }
 

@@ -29,7 +29,7 @@ use tit_core::{Action, MemBudget};
 use tit_platform::desc::PlatformDesc;
 use tit_platform::presets;
 use tit_platform::deployment::Deployment;
-use tit_replay::{replay_store, ReplayConfig};
+use tit_replay::{replay, ReplayConfig, Sources};
 
 /// Fixed segment budget for every run: small enough that even the
 /// smallest store overflows it (so eviction governs every run, not
@@ -126,7 +126,7 @@ fn replay_one(path: &Path, label: &str) -> ScaleRecord {
     let hosts = Deployment::round_robin(&desc.host_names(), RANKS).host_ids(&platform);
     let cfg = ReplayConfig::default();
     let t0 = std::time::Instant::now();
-    let out = replay_store(&store, Arc::clone(&budget), platform, &hosts, &cfg)
+    let out = replay(Sources::store(&store, Arc::clone(&budget)), platform, &hosts, &cfg, None)
         // panics: the store is clean by construction, so failure is a bench bug
         .expect("replay generated store");
     let wall = t0.elapsed().as_secs_f64();

@@ -8,7 +8,7 @@
 //!             [--json FILE] [--metrics FILE] [--jobs N]
 //! ```
 //!
-//! The tool loads the per-rank trace files (text or TIB1; `--jobs N`
+//! The tool loads the per-rank text trace files (`--jobs N`
 //! parses them on N worker threads, `0` = one per CPU), builds the
 //! cross-rank happens-before DAG under the same platform/network cost
 //! model the replay engine uses, and reports:

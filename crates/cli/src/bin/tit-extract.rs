@@ -21,7 +21,7 @@ use tit_extract::gather::{bundle, gather_plan};
 use tit_extract::tau2ti;
 
 const USAGE: &str =
-    "tit-extract --tau DIR --np N --out DIR [--threads T | --jobs T] [--bundle FILE] [--arity K] [--binary] [--tib2 FILE [--seg-actions N]]";
+    "tit-extract --tau DIR --np N --out DIR [--threads T | --jobs T] [--bundle FILE] [--arity K] [--tib2 FILE [--seg-actions N]]";
 
 fn main() {
     let args = Args::from_env();
@@ -49,23 +49,6 @@ fn main() {
     println!("actions written:  {}", stats.actions_written);
     println!("ti bytes:         {} ({:.2} MiB)", stats.ti_bytes, stats.ti_bytes as f64 / (1 << 20) as f64);
     println!("extraction wall:  {:.3} s", wall.as_secs_f64());
-
-    // Optional binary form of the traces (the paper's future work).
-    if args.has_flag("binary") {
-        let bin_dir = out.join("binary");
-        match tit_core::binfmt::convert_dir(&out, &bin_dir, np) {
-            Ok((text_bytes, bin_bytes)) => println!(
-                "binary form:      {} bytes ({:.1}x smaller), in {}",
-                bin_bytes,
-                text_bytes as f64 / bin_bytes as f64,
-                bin_dir.display()
-            ),
-            Err(e) => {
-                eprintln!("binary conversion failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     // Optional TIB2 segmented store (replayed with `tit-replay
     // --store`); written atomically, parallel parse via --jobs.

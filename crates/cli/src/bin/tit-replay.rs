@@ -112,10 +112,9 @@ use tit_platform::desc::PlatformDesc;
 use tit_platform::presets;
 use tit_replay::collectives::CollectiveAlgo;
 use tit_replay::{
-    replay_compact_observed, replay_files_checkpointed, replay_files_degraded,
-    replay_files_observed, replay_store_checkpointed, replay_store_degraded,
-    replay_store_observed, resume_files, tags, CheckpointPolicy, CheckpointedStatus,
-    DegradationReason, PauseReason, ReplayCheckpoint, ReplayConfig,
+    replay, replay_files_degraded, replay_store_degraded, run_checkpointed, tags,
+    CheckpointPolicy, CheckpointedStatus, DegradationReason, PauseReason, ReplayCheckpoint,
+    ReplayConfig, Sources,
 };
 use titobs::{KernelReport, Metrics, Profile, TimeResolved, Timeline, TimelineFormat, WindowSpec};
 
@@ -128,6 +127,14 @@ const EXIT_PARTIAL: i32 = 3;
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}\nusage: {USAGE}");
     std::process::exit(2);
+}
+
+/// Unwraps a replay-stage result, or reports it and exits 1.
+fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("replay failed: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn open_atomic(path: &str) -> BufWriter<AtomicFile> {
@@ -412,19 +419,12 @@ fn main() {
     let mut paje_records = None;
     let mut kernel_profile_data = None;
     let (sim_time, actions, wall) = if degraded {
-        let result = match &store {
+        let out = or_die(match &store {
             Some(s) => {
                 replay_store_degraded(s, Arc::clone(&budget), platform, &hosts, &cfg, extra)
             }
             None => replay_files_degraded(&dir, np, platform, &hosts, &cfg, extra),
-        };
-        let out = match result {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
-            }
-        };
+        });
         let ratio = out.completeness();
         metrics.set_value("degraded.completeness", ratio);
         let mut stubbed = 0;
@@ -458,99 +458,70 @@ fn main() {
             exit_code = EXIT_PARTIAL;
         }
         (out.simulated_time, out.actions_replayed, out.wall_time)
-    } else if checkpointing {
-        let result = if let Some(s) = &store {
-            // Store checkpoints are keyed on the footer hash: resume
-            // refuses a store whose content changed.
-            let ck = resume.as_ref().map(|f| match ReplayCheckpoint::load(Path::new(f)) {
-                Ok(ck) => ck,
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    std::process::exit(1);
+    } else {
+        let ck = resume.as_ref().map(|f| or_die(ReplayCheckpoint::load(Path::new(f))));
+        // One source set for both drivers: the store, the streamed
+        // files (`--jobs 1`, the default), or the parallel ingestion
+        // fast path for any other `--jobs` value.
+        let sources = match &store {
+            Some(s) => {
+                if !checkpointing {
+                    metrics.incr("store.bytes", s.file_len());
+                    metrics.incr("store.actions", s.num_actions());
+                    metrics.set_note("store.fingerprint", &format!("{:#018x}", s.fingerprint()));
                 }
-            });
-            replay_store_checkpointed(
-                s,
-                Arc::clone(&budget),
+                Sources::store(s, Arc::clone(&budget))
+            }
+            None if jobs == 1 => or_die(Sources::files(&dir, np)),
+            None => {
+                let compact = or_die(
+                    metrics.time("wall.ingest", || tit_core::load_compact_exact(&dir, np, jobs)),
+                );
+                metrics.incr("ingest.files", np as u64);
+                metrics.incr("ingest.actions", compact.num_actions() as u64);
+                metrics.incr("ingest.bytes", compact.heap_bytes() as u64);
+                metrics.set_value("ingest.jobs", tit_core::ingest::effective_jobs(jobs) as f64);
+                Sources::compact(&Arc::new(compact))
+            }
+        };
+        if checkpointing {
+            let out = or_die(run_checkpointed(
+                sources,
                 platform,
                 &hosts,
                 &cfg,
                 extra,
                 policy.as_ref(),
                 ck.as_ref(),
-            )
-        } else if let Some(ckfile) = &resume {
-            resume_files(&dir, np, platform, &hosts, &cfg, extra, Path::new(ckfile), policy.as_ref())
-        } else {
-            // panics: `checkpointing` implies one of the two is set
-            replay_files_checkpointed(&dir, np, platform, &hosts, &cfg, extra, policy.as_ref().unwrap())
-        };
-        let out = match result {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
+            ));
+            metrics.incr("checkpoint.writes", out.checkpoints_written);
+            if out.resumed {
+                metrics.incr("checkpoint.resume", 1);
+                // panics: `out.resumed` implies --resume was given
+                println!("resumed from:     {}", resume.as_ref().unwrap());
             }
-        };
-        metrics.incr("checkpoint.writes", out.checkpoints_written);
-        if out.resumed {
-            metrics.incr("checkpoint.resume", 1);
-            // panics: `out.resumed` implies --resume was given
-            println!("resumed from:     {}", resume.as_ref().unwrap());
-        }
-        if let Some(ckfile) = &checkpoint {
-            println!("checkpoints:      {} written to {ckfile}", out.checkpoints_written);
-        }
-        let sim = match out.status {
-            CheckpointedStatus::Finished { simulated_time } => simulated_time,
-            CheckpointedStatus::Paused { simulated_time, reason } => {
-                let why = match reason {
-                    PauseReason::WallLimit => "wall-clock budget expired",
-                    PauseReason::StopAfter => "checkpoint count reached",
-                };
-                println!("paused:           {why}; resume with --resume");
-                exit_code = EXIT_PARTIAL;
-                simulated_time
+            if let Some(ckfile) = &checkpoint {
+                println!("checkpoints:      {} written to {ckfile}", out.checkpoints_written);
             }
-        };
-        (sim, out.actions_replayed, out.wall_time)
-    } else {
-        // `--jobs 1` (the default) streams each file during the replay;
-        // any other value takes the parallel ingestion fast path.
-        let result = if let Some(s) = &store {
-            metrics.incr("store.bytes", s.file_len());
-            metrics.incr("store.actions", s.num_actions());
-            metrics.set_note("store.fingerprint", &format!("{:#018x}", s.fingerprint()));
-            replay_store_observed(s, Arc::clone(&budget), platform, &hosts, &cfg, extra)
-        } else if jobs == 1 {
-            replay_files_observed(&dir, np, platform, &hosts, &cfg, extra)
-        } else {
-            let loaded =
-                metrics.time("wall.ingest", || tit_core::load_compact_exact(&dir, np, jobs));
-            match loaded {
-                Ok(compact) => {
-                    metrics.incr("ingest.files", np as u64);
-                    metrics.incr("ingest.actions", compact.num_actions() as u64);
-                    metrics.incr("ingest.bytes", compact.heap_bytes() as u64);
-                    metrics.set_value("ingest.jobs", tit_core::ingest::effective_jobs(jobs) as f64);
-                    replay_compact_observed(&std::sync::Arc::new(compact), platform, &hosts, &cfg, extra)
+            let sim = match out.status {
+                CheckpointedStatus::Finished { simulated_time } => simulated_time,
+                CheckpointedStatus::Paused { simulated_time, reason } => {
+                    let why = match reason {
+                        PauseReason::WallLimit => "wall-clock budget expired",
+                        PauseReason::StopAfter => "checkpoint count reached",
+                    };
+                    println!("paused:           {why}; resume with --resume");
+                    exit_code = EXIT_PARTIAL;
+                    simulated_time
                 }
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        let out = match result {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("replay failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        paje_records = out.records;
-        kernel_profile_data = out.kernel_profile;
-        (out.simulated_time, out.actions_replayed, out.wall_time)
+            };
+            (sim, out.actions_replayed, out.wall_time)
+        } else {
+            let out = or_die(replay(sources, platform, &hosts, &cfg, extra));
+            paje_records = out.records;
+            kernel_profile_data = out.kernel_profile;
+            (out.simulated_time, out.actions_replayed, out.wall_time)
+        }
     };
     println!("simulated time:   {sim_time:.6} s");
     println!("actions replayed: {actions}");

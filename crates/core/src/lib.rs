@@ -35,7 +35,6 @@
 
 pub mod action;
 pub mod atomicio;
-pub mod binfmt;
 pub mod checkpoint;
 pub mod codec;
 pub mod compact;
@@ -61,7 +60,6 @@ pub use lru::Lru;
 pub use membudget::{MemBudget, MemoryExceeded};
 pub use tib2::{SegmentColumns, StoreError, Tib2Store, Tib2Writer};
 pub use ingest::{load_compact_exact, load_exact, load_per_process_jobs, IngestError};
-pub use binfmt::{BinaryTraceReader, BinaryTraceWriter};
 pub use codec::{format_action, parse_line, ParseError};
 pub use stats::TraceStats;
 pub use trace::{ProcessTraceReader, ProcessTraceWriter, TiTrace};

@@ -21,15 +21,12 @@
 //! replayed, ranks 3 and 7 damaged" replaces a bare failure.
 
 use crate::error::ReplayError;
-use crate::handlers::Registry;
-use crate::process::{ActionSource, ReplayActor, VecSource};
-use crate::simulator::ReplayConfig;
+use crate::process::{ActionSource, Sources, VecSource};
+use crate::simulator::{start, ReplayConfig};
 use simkern::observer::Observer;
 use simkern::resource::HostId;
-use simkern::{Engine, Platform, SimError};
+use simkern::Platform;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use tit_core::trace::process_trace_filename;
 use tit_core::{parse_line, Action};
 
@@ -196,11 +193,8 @@ pub fn replay_files_degraded(
     platform: Platform,
     hosts: &[HostId],
     cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer>>,
 ) -> Result<DegradedOutcome, ReplayError> {
-    if nproc != hosts.len() {
-        return Err(ReplayError::Deployment { procs: nproc, hosts: hosts.len() });
-    }
     let mut scanned = Vec::with_capacity(nproc);
     for rank in 0..nproc {
         let s = scan_rank(dir, rank).map_err(|source| ReplayError::MissingRank {
@@ -236,32 +230,40 @@ pub fn replay_files_degraded(
         }
     }
 
-    let mut engine = Engine::new(platform);
-    engine.set_network_config(cfg.network.clone());
-    if let Some(obs) = extra {
-        engine.set_observer(obs);
-    }
-    let registry = Arc::new(Registry::with_defaults());
-    let counter = Arc::new(AtomicU64::new(0));
-    for (rank, s) in scanned.into_iter().enumerate() {
-        let src: Box<dyn ActionSource> = Box::new(VecSource::new(s.actions));
-        let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
-        engine.spawn(Box::new(actor), hosts[rank]);
-    }
+    let sources = Sources::from_ranks(
+        scanned
+            .into_iter()
+            .map(|s| Box::new(VecSource::new(s.actions)) as Box<dyn ActionSource>)
+            .collect(),
+    );
+    replay_salvage(sources, actions_expected, ranks, platform, hosts, cfg, observer)
+}
+
+/// The damage-tolerant tail both degraded drivers share once their
+/// format-specific scan has built the salvaged `sources`: replays them
+/// to completion or to the first damage-induced stop, which becomes
+/// part of the outcome instead of an error.
+pub(crate) fn replay_salvage(
+    sources: Sources,
+    actions_expected: u64,
+    ranks: Vec<RankDegradation>,
+    platform: Platform,
+    hosts: &[HostId],
+    cfg: &ReplayConfig,
+    observer: Option<Box<dyn Observer>>,
+) -> Result<DegradedOutcome, ReplayError> {
+    let mut run = start(sources, platform, hosts, cfg, observer)?;
     let t0 = std::time::Instant::now();
-    let (simulated_time, failure) = match engine.run_checked() {
+    let (simulated_time, failure) = match run.engine.run_checked() {
         Ok(t) => (t, None),
-        // The whole point of degraded mode: damage-induced stops become
-        // part of the answer instead of aborting it.
-        Err(
-            e @ (SimError::Deadlock { .. }
-            | SimError::ActorFailure { .. }
-            | SimError::Protocol { .. }),
-        ) => (e.time(), Some(e.to_string())),
+        Err(e) => {
+            let (t, detail) = run.downgrade(e)?;
+            (t, Some(detail))
+        }
     };
     Ok(DegradedOutcome {
         simulated_time,
-        actions_replayed: counter.load(Ordering::Relaxed),
+        actions_replayed: run.actions(),
         actions_expected,
         wall_time: t0.elapsed(),
         ranks,

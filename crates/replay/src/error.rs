@@ -128,6 +128,20 @@ impl From<SimError> for ReplayError {
     }
 }
 
+impl From<tit_core::IngestError> for ReplayError {
+    /// An absent rank file is a [`ReplayError::MissingRank`]; any other
+    /// ingest failure (unreadable data, a malformed or foreign line) is
+    /// a [`ReplayError::Trace`] — the same errors the streaming path
+    /// reports for the same files.
+    fn from(e: tit_core::IngestError) -> Self {
+        if e.source.kind() == std::io::ErrorKind::NotFound {
+            ReplayError::MissingRank { rank: e.rank, path: e.path, source: e.source }
+        } else {
+            ReplayError::Trace { rank: e.rank, detail: e.source.to_string() }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,13 @@
 //! point-to-point messages rooted at process 0 ([`collectives`]), and
 //! non-blocking operations feed a FIFO request queue consumed by `wait`
 //! ([`process`]).
+//!
+//! One engine setup serves every mode. A run pairs a [`Sources`] value
+//! (per-rank streams from trace files, memory, a compact trace or a
+//! `TIB2` store) with a driver: [`replay`] (strict), [`run_checkpointed`]
+//! (checkpoint/resume), [`run_request`] (deadline/preemption, for the
+//! serving layer) or the degraded salvage drivers
+//! [`replay_files_degraded`] and [`replay_store_degraded`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,21 +41,11 @@ pub use degraded::{
 };
 pub use error::ReplayError;
 pub use handlers::{ExpandError, MicroOp, Registry};
-pub use request::{
-    compact_sources, replay_compact_request, run_request, PausedReplay, RequestOutcome,
-    RequestPolicy, RequestStatus,
-};
+pub use process::Sources;
+pub use request::{run_request, PausedReplay, RequestOutcome, RequestPolicy, RequestStatus};
 pub use resume::{
-    keyed_fingerprint, replay_files_checkpointed, resume_files, run_checkpointed,
-    run_checkpointed_keyed, CheckpointPolicy, CheckpointedOutcome, CheckpointedStatus,
-    PauseReason, ReplayCheckpoint,
+    keyed_fingerprint, run_checkpointed, CheckpointPolicy, CheckpointedOutcome,
+    CheckpointedStatus, PauseReason, ReplayCheckpoint,
 };
-pub use simulator::{
-    replay_binary_files, replay_compact, replay_compact_observed, replay_files,
-    replay_files_jobs, replay_files_observed, replay_memory, replay_memory_observed,
-    ReplayConfig, ReplayOutcome,
-};
-pub use store::{
-    replay_store, replay_store_checkpointed, replay_store_degraded, replay_store_observed,
-    store_sources, SegmentCache, SegmentedSource,
-};
+pub use simulator::{replay, replay_files, replay_memory, ReplayConfig, ReplayOutcome};
+pub use store::{replay_store_degraded, store_sources, SegmentCache, SegmentedSource};

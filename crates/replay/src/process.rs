@@ -8,16 +8,19 @@
 //! no request identifiers, and the paper's prototype behaves the same
 //! way.
 
-use crate::handlers::{ExpandCtx, MicroOp, Registry};
 use crate::collectives::CollectiveAlgo;
+use crate::error::ReplayError;
+use crate::handlers::{ExpandCtx, MicroOp, Registry};
+use crate::store::{store_sources, SegmentCache};
 use simkern::engine::{Ctx, MailboxKey, OpId};
 use simkern::{Actor, Step, Wake};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::path::Path;
 use tit_core::checkpoint::{Dec, Enc};
-use tit_core::trace::ProcessTraceReader;
-use tit_core::Action;
+use tit_core::trace::{process_trace_filename, ProcessTraceReader};
+use tit_core::{Action, CompactTrace, MemBudget, TiTrace, Tib2Store};
 
 /// Supplies the action stream of one process.
 pub trait ActionSource: Send {
@@ -42,7 +45,7 @@ impl ActionSource for VecSource {
 }
 
 /// One rank's slice of a shared interned [`tit_core::CompactTrace`] — the
-/// zero-copy source behind [`replay_compact`](crate::replay_compact).
+/// zero-copy source behind [`Sources::compact`].
 /// Cloning the `Arc` per rank lets all actors stream from one
 /// struct-of-arrays allocation.
 pub struct CompactSource {
@@ -115,29 +118,85 @@ impl ActionSource for FileSource {
     }
 }
 
-/// Streaming binary per-process trace file (`SG_process<N>.btrace`,
-/// the paper's future-work format).
-pub struct BinFileSource {
-    reader: tit_core::binfmt::BinaryTraceReader,
+/// The per-rank action streams of one replay — what every driver
+/// ([`crate::replay`], [`crate::run_checkpointed`],
+/// [`crate::run_request`]) consumes. Besides the streams it remembers
+/// two facts about their origin: the segment cache whose recorded
+/// fault turns a stringly actor failure back into a typed
+/// [`ReplayError::Store`] / [`ReplayError::Memory`], and the trace salt
+/// a checkpoint is keyed on (a `TIB2` store's footer hash, `0` for
+/// every other source; see [`crate::resume::keyed_fingerprint`]).
+pub struct Sources {
+    pub(crate) ranks: Vec<Box<dyn ActionSource>>,
+    pub(crate) cache: Option<Arc<SegmentCache>>,
+    pub(crate) salt: u64,
 }
 
-impl BinFileSource {
-    /// Opens `path`; the embedded rank header must match `rank`.
-    pub fn open(path: &std::path::Path, rank: usize) -> std::io::Result<Self> {
-        let reader = tit_core::binfmt::BinaryTraceReader::open(path)?;
-        if reader.rank() != rank {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("binary trace for p{} opened as p{rank}", reader.rank()),
-            ));
-        }
-        Ok(BinFileSource { reader })
+impl Sources {
+    /// Streams `SG_process<rank>.trace` from `dir` for ranks
+    /// `0..nproc` (constant memory in trace size). A rank whose file is
+    /// missing is a [`ReplayError::MissingRank`] naming the rank.
+    pub fn files(dir: &Path, nproc: usize) -> Result<Self, ReplayError> {
+        let ranks = (0..nproc)
+            .map(|rank| {
+                let path = dir.join(process_trace_filename(rank));
+                match FileSource::open(&path, rank) {
+                    Ok(src) => Ok(Box::new(src) as Box<dyn ActionSource>),
+                    Err(source) => Err(ReplayError::MissingRank { rank, path, source }),
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Sources::from_ranks(ranks))
     }
-}
 
-impl ActionSource for BinFileSource {
-    fn next_action(&mut self) -> std::io::Result<Option<Action>> {
-        self.reader.next_action()
+    /// Streams an in-memory trace (one copy of each rank's actions).
+    pub fn memory(trace: &TiTrace) -> Self {
+        Sources::from_ranks(
+            trace
+                .actions
+                .iter()
+                .map(|a| Box::new(VecSource::new(a.clone())) as Box<dyn ActionSource>)
+                .collect(),
+        )
+    }
+
+    /// Streams every rank straight out of a shared interned
+    /// [`CompactTrace`] (~16 bytes/action, no per-rank copies): the
+    /// fast path for repeated or memory-bound replays.
+    pub fn compact(trace: &Arc<CompactTrace>) -> Self {
+        Sources::from_ranks(
+            (0..trace.num_processes())
+                .map(|rank| {
+                    Box::new(CompactSource::new(Arc::clone(trace), rank)) as Box<dyn ActionSource>
+                })
+                .collect(),
+        )
+    }
+
+    /// Pages every rank out of a `TIB2` store through one shared
+    /// [`SegmentCache`] governed by `budget`. Cache faults surface as
+    /// typed errors, and checkpoints bind to the store's footer hash.
+    pub fn store(store: &Arc<Tib2Store>, budget: Arc<MemBudget>) -> Self {
+        let cache = Arc::new(SegmentCache::new(Arc::clone(store), budget));
+        Sources { ranks: store_sources(&cache), cache: Some(cache), salt: store.fingerprint() }
+    }
+
+    /// Replaces the listed ranks' streams with empty ones (the
+    /// dropped-rank subset a what-if request asks for). Ranks out of
+    /// range are ignored.
+    #[must_use]
+    pub fn drop_ranks(mut self, ranks: &[usize]) -> Self {
+        for &rank in ranks {
+            if let Some(slot) = self.ranks.get_mut(rank) {
+                *slot = Box::new(VecSource::new(Vec::new()));
+            }
+        }
+        self
+    }
+
+    /// Unsalted streams without a segment cache.
+    pub(crate) fn from_ranks(ranks: Vec<Box<dyn ActionSource>>) -> Self {
+        Sources { ranks, cache: None, salt: 0 }
     }
 }
 

@@ -20,21 +20,19 @@
 //! replay runs in slices of `slice_actions` trace actions, and at every
 //! slice boundary the deadline and the preemption flag are consulted.
 //! A request with no deadline and no preemption runs exactly like
-//! [`crate::replay_compact`] — the guard never fires.
+//! [`crate::replay`] — the guard never fires.
 
 use crate::error::ReplayError;
-use crate::handlers::Registry;
-use crate::process::{ActionSource, CompactSource, ReplayActor};
+use crate::process::Sources;
 use crate::resume::fingerprint;
-use crate::simulator::ReplayConfig;
+use crate::simulator::{start, ReplayConfig, Started};
 use simkern::observer::Observer;
 use simkern::resource::HostId;
 use simkern::snapshot::EngineSnapshot;
-use simkern::{Engine, Platform, RunStatus, SimError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use simkern::{Engine, Platform, RunStatus};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tit_core::{CompactTrace, Deadline};
+use tit_core::Deadline;
 
 /// How a request-scoped replay is paced.
 #[derive(Debug, Clone, Copy)]
@@ -164,34 +162,34 @@ fn req_err(detail: impl std::fmt::Display) -> ReplayError {
 /// exported and returned for a later resume. `resume` continues a
 /// previously preempted request — the sources must be rebuilt
 /// identically (same trace, same order); configuration mismatches fail
-/// closed.
+/// closed. The resume fingerprint is unsalted: the expected-action
+/// check stands in for the trace binding.
 #[allow(clippy::too_many_arguments)] // one parameter per request input, mirroring run_checkpointed
 pub fn run_request(
-    sources: Vec<Box<dyn ActionSource>>,
+    sources: Sources,
     actions_expected: u64,
     platform: Platform,
     hosts: &[HostId],
     cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer>>,
     policy: &RequestPolicy,
     preempt: Option<&AtomicBool>,
     resume: Option<PausedReplay>,
 ) -> Result<RequestOutcome, ReplayError> {
-    if sources.len() != hosts.len() {
-        return Err(ReplayError::Deployment { procs: sources.len(), hosts: hosts.len() });
-    }
-    let fp = fingerprint(&platform, cfg, sources.len());
-    let mut engine = Engine::new(platform);
-    engine.set_network_config(cfg.network.clone());
-    if let Some(obs) = extra {
-        engine.set_observer(obs);
-    }
-    let registry = Arc::new(Registry::with_defaults());
-    let counter = Arc::new(AtomicU64::new(0));
-    for (rank, src) in sources.into_iter().enumerate() {
-        let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
-        engine.spawn(Box::new(actor), hosts[rank]);
-    }
+    let fp = fingerprint(&platform, cfg, sources.ranks.len());
+    let mut run = start(sources, platform, hosts, cfg, observer)?;
+    request_loop(&mut run, fp, actions_expected, policy, preempt, resume)
+        .map_err(|e| run.retype(e))
+}
+
+fn request_loop(
+    run: &mut Started,
+    fp: u64,
+    actions_expected: u64,
+    policy: &RequestPolicy,
+    preempt: Option<&AtomicBool>,
+    resume: Option<PausedReplay>,
+) -> Result<RequestOutcome, ReplayError> {
     if let Some(p) = resume {
         if p.config_fp != fp {
             return Err(req_err(format!(
@@ -207,46 +205,43 @@ pub fn run_request(
                 p.actions_expected
             )));
         }
-        engine.restore_state(&p.engine).map_err(req_err)?;
-        counter.store(p.actions_replayed, Ordering::Relaxed);
+        run.engine.restore_state(&p.engine).map_err(req_err)?;
+        run.counter.store(p.actions_replayed, Ordering::Relaxed);
     }
 
     let t0 = Instant::now();
     let slice = policy.slice_actions;
     let limited = !policy.deadline.is_unlimited();
     let deadline = policy.deadline;
-    let mut mark = counter.load(Ordering::Relaxed);
+    let mut mark = run.actions();
     loop {
-        let run = {
-            let counter = counter.clone();
+        let result = {
+            let counter = run.counter.clone();
             let from = mark;
             let mut guard = move |_: &Engine| {
                 (slice > 0 && counter.load(Ordering::Relaxed).saturating_sub(from) >= slice)
                     || (limited && deadline.expired())
             };
-            engine.run_until(&mut guard)
+            run.engine.run_until(&mut guard)
         };
-        let status = match run {
+        let status = match result {
             Ok(s) => s,
-            Err(
-                e @ (SimError::Deadlock { .. }
-                | SimError::ActorFailure { .. }
-                | SimError::Protocol { .. }),
-            ) if policy.tolerate_damage => {
+            Err(e) if policy.tolerate_damage => {
                 // Degraded-subset semantics: the stop is part of the
                 // answer, quantified by the completeness ratio.
+                let (simulated_time, detail) = run.downgrade(e)?;
                 return Ok(RequestOutcome {
-                    status: RequestStatus::DamagedPartial { simulated_time: e.time() },
-                    actions_replayed: counter.load(Ordering::Relaxed),
+                    status: RequestStatus::DamagedPartial { simulated_time },
+                    actions_replayed: run.actions(),
                     actions_expected,
                     wall_time: t0.elapsed(),
                     paused: None,
-                    failure: Some(e.to_string()),
+                    failure: Some(detail),
                 });
             }
             Err(e) => return Err(ReplayError::from(e)),
         };
-        let actions_replayed = counter.load(Ordering::Relaxed);
+        let actions_replayed = run.actions();
         match status {
             RunStatus::Completed(simulated_time) => {
                 return Ok(RequestOutcome {
@@ -270,7 +265,7 @@ pub fn run_request(
                     });
                 }
                 if preempt.is_some_and(|p| p.load(Ordering::Relaxed)) {
-                    let snapshot = engine.export_state().map_err(req_err)?;
+                    let snapshot = run.engine.export_state().map_err(req_err)?;
                     return Ok(RequestOutcome {
                         status: RequestStatus::Preempted { simulated_time },
                         actions_replayed,
@@ -291,48 +286,12 @@ pub fn run_request(
     }
 }
 
-/// Builds one [`CompactSource`] per rank of `trace`. The serving layer
-/// uses this both for fresh requests and to rebuild identical sources
-/// when resuming a preempted one.
-#[must_use]
-pub fn compact_sources(trace: &Arc<CompactTrace>) -> Vec<Box<dyn ActionSource>> {
-    (0..trace.num_processes())
-        .map(|rank| Box::new(CompactSource::new(Arc::clone(trace), rank)) as Box<dyn ActionSource>)
-        .collect()
-}
-
-/// [`run_request`] over a shared interned [`CompactTrace`] — the
-/// serving fast path: the trace loads once, every request streams
-/// straight out of the struct-of-arrays storage.
-#[allow(clippy::too_many_arguments)] // one parameter per request input, mirroring run_checkpointed
-pub fn replay_compact_request(
-    trace: &Arc<CompactTrace>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-    policy: &RequestPolicy,
-    preempt: Option<&AtomicBool>,
-    resume: Option<PausedReplay>,
-) -> Result<RequestOutcome, ReplayError> {
-    run_request(
-        compact_sources(trace),
-        trace.num_actions() as u64,
-        platform,
-        hosts,
-        cfg,
-        extra,
-        policy,
-        preempt,
-        resume,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkern::netmodel::NetworkConfig;
-    use tit_core::{Action, Budget, TiTrace};
+    use std::sync::Arc;
+    use tit_core::{Action, Budget, CompactTrace, TiTrace};
     use tit_platform::desc::{ClusterSpec, ClusterTopology, PlatformDesc};
 
     fn mycluster(n: usize) -> (Platform, Vec<HostId>) {
@@ -356,6 +315,23 @@ mod tests {
 
     fn plain_cfg() -> ReplayConfig {
         ReplayConfig { network: NetworkConfig::default(), ..Default::default() }
+    }
+
+    /// [`run_request`] over every rank of a shared compact trace.
+    #[allow(clippy::too_many_arguments)]
+    fn compact_request(
+        trace: &Arc<CompactTrace>,
+        platform: Platform,
+        hosts: &[HostId],
+        cfg: &ReplayConfig,
+        observer: Option<Box<dyn Observer>>,
+        policy: &RequestPolicy,
+        preempt: Option<&AtomicBool>,
+        resume: Option<PausedReplay>,
+    ) -> Result<RequestOutcome, ReplayError> {
+        let expected = trace.num_actions() as u64;
+        let sources = Sources::compact(trace);
+        run_request(sources, expected, platform, hosts, cfg, observer, policy, preempt, resume)
     }
 
     fn busy_trace(iters: usize) -> Arc<CompactTrace> {
@@ -386,8 +362,8 @@ mod tests {
         let trace = busy_trace(3);
         let (p1, hosts) = mycluster(4);
         let (p2, _) = mycluster(4);
-        let plain = crate::replay_compact(&trace, p1, &hosts, &plain_cfg()).unwrap();
-        let out = replay_compact_request(
+        let plain = crate::replay(Sources::compact(&trace), p1, &hosts, &plain_cfg(), None).unwrap();
+        let out = compact_request(
             &trace,
             p2,
             &hosts,
@@ -412,7 +388,7 @@ mod tests {
     fn preempt_and_resume_is_bit_identical() {
         let trace = busy_trace(2);
         let (pref, hosts) = mycluster(4);
-        let reference = crate::replay_compact(&trace, pref, &hosts, &plain_cfg()).unwrap();
+        let reference = crate::replay(Sources::compact(&trace), pref, &hosts, &plain_cfg(), None).unwrap();
 
         for slice in [1u64, 3, 7, 19] {
             // Preempt at every slice boundary; each resumed run is
@@ -421,7 +397,7 @@ mod tests {
             let always = AtomicBool::new(true);
             let policy = RequestPolicy { slice_actions: slice, deadline: Deadline::unlimited(), ..Default::default() };
             let (p0, _) = mycluster(4);
-            let mut out = replay_compact_request(
+            let mut out = compact_request(
                 &trace, p0, &hosts, &plain_cfg(), None, &policy, Some(&always), None,
             )
             .unwrap();
@@ -434,7 +410,7 @@ mod tests {
                         assert!(hops < 10_000, "preemption livelock at slice {slice}");
                         let paused = out.paused.take().expect("preempted without state");
                         let (p, _) = mycluster(4);
-                        out = replay_compact_request(
+                        out = compact_request(
                             &trace,
                             p,
                             &hosts,
@@ -471,7 +447,7 @@ mod tests {
             deadline: Budget::limited(Duration::ZERO).start(),
             ..Default::default()
         };
-        let out = replay_compact_request(
+        let out = compact_request(
             &trace, p, &hosts, &plain_cfg(), None, &policy, None, None,
         )
         .unwrap();
@@ -489,19 +465,10 @@ mod tests {
 
     #[test]
     fn dropped_rank_subset_becomes_quantified_damage_not_error() {
-        use crate::process::VecSource;
         let trace = busy_trace(3);
         let (p, hosts) = mycluster(4);
         // Rank 2's actions are dropped: its peers eventually deadlock.
-        let sources: Vec<Box<dyn ActionSource>> = (0..4)
-            .map(|rank| {
-                if rank == 2 {
-                    Box::new(VecSource::new(Vec::new())) as Box<dyn ActionSource>
-                } else {
-                    Box::new(CompactSource::new(Arc::clone(&trace), rank))
-                }
-            })
-            .collect();
+        let sources = Sources::compact(&trace).drop_ranks(&[2]);
         let policy = RequestPolicy { tolerate_damage: true, ..Default::default() };
         let out = run_request(
             sources,
@@ -524,15 +491,7 @@ mod tests {
         assert!(!detail.is_empty());
 
         // Without tolerance the same subset is a hard error.
-        let sources: Vec<Box<dyn ActionSource>> = (0..4)
-            .map(|rank| {
-                if rank == 2 {
-                    Box::new(VecSource::new(Vec::new())) as Box<dyn ActionSource>
-                } else {
-                    Box::new(CompactSource::new(Arc::clone(&trace), rank))
-                }
-            })
-            .collect();
+        let sources = Sources::compact(&trace).drop_ranks(&[2]);
         let (p2, _) = mycluster(4);
         run_request(
             sources,
@@ -554,7 +513,7 @@ mod tests {
         let always = AtomicBool::new(true);
         let policy = RequestPolicy { slice_actions: 2, deadline: Deadline::unlimited(), ..Default::default() };
         let (p0, hosts) = mycluster(4);
-        let out = replay_compact_request(
+        let out = compact_request(
             &trace, p0, &hosts, &plain_cfg(), None, &policy, Some(&always), None,
         )
         .unwrap();
@@ -562,7 +521,7 @@ mod tests {
 
         // Different network model → different fingerprint → refused.
         let (p1, _) = mycluster(4);
-        let err = replay_compact_request(
+        let err = compact_request(
             &trace,
             p1,
             &hosts,
@@ -577,14 +536,14 @@ mod tests {
 
         // Different trace length → refused.
         let (p2, _) = mycluster(4);
-        let out = replay_compact_request(
+        let out = compact_request(
             &trace, p2, &hosts, &plain_cfg(), None, &policy, Some(&always), None,
         )
         .unwrap();
         let paused = out.paused.expect("must preempt");
         let other_trace = busy_trace(3);
         let (p3, _) = mycluster(4);
-        let err = replay_compact_request(
+        let err = compact_request(
             &other_trace,
             p3,
             &hosts,

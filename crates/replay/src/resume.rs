@@ -19,9 +19,8 @@
 //! [`simkern::snapshot`]: simkern::EngineSnapshot
 
 use crate::error::ReplayError;
-use crate::handlers::Registry;
-use crate::process::{ActionSource, FileSource, ReplayActor};
-use crate::simulator::ReplayConfig;
+use crate::process::Sources;
+use crate::simulator::{start, ReplayConfig, Started};
 use simkern::engine::MailboxKey;
 use simkern::lmm::{CnstSnap, LmmSnapshot, VarSnap};
 use simkern::observer::Observer;
@@ -32,12 +31,10 @@ use simkern::snapshot::{
 };
 use simkern::{Engine, OpKind, Platform, RunStatus};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use tit_core::checkpoint::{fnv1a, read_checkpoint, write_checkpoint, Dec, Enc};
 use tit_core::{Budget, Deadline};
-use tit_core::trace::process_trace_filename;
 
 /// When and where to write checkpoints during a replay.
 #[derive(Debug, Clone)]
@@ -514,17 +511,6 @@ impl ReplayCheckpoint {
     }
 }
 
-fn open_file_sources(dir: &Path, nproc: usize) -> Result<Vec<Box<dyn ActionSource>>, ReplayError> {
-    let mut sources: Vec<Box<dyn ActionSource>> = Vec::with_capacity(nproc);
-    for rank in 0..nproc {
-        let path = dir.join(process_trace_filename(rank));
-        let src = FileSource::open(&path, rank)
-            .map_err(|source| ReplayError::MissingRank { rank, path: path.clone(), source })?;
-        sources.push(Box::new(src));
-    }
-    Ok(sources)
-}
-
 /// Combines the platform/config fingerprint with a trace-content salt
 /// (e.g. a TIB2 store's footer hash, [`tit_core::Tib2Store::fingerprint`]).
 /// A salt of `0` means "no trace binding" and leaves the fingerprint
@@ -539,54 +525,35 @@ pub fn keyed_fingerprint(fp: u64, trace_salt: u64) -> u64 {
     fnv1a(&e.finish())
 }
 
-/// Replays sources under a checkpoint policy, optionally resuming from
-/// a prior checkpoint. The core loop: run to the next safe point where
-/// a checkpoint is due (action quota or watchdog), export + write, and
-/// either continue or stop with state saved.
+/// Replays `sources` under a checkpoint policy, optionally resuming
+/// from a prior checkpoint. The core loop: run to the next safe point
+/// where a checkpoint is due (action quota or watchdog), export + write,
+/// and either continue or stop with state saved. The checkpoint
+/// fingerprint is keyed on the sources' trace salt
+/// ([`keyed_fingerprint`]): a checkpoint taken over a `TIB2` store
+/// refuses to resume against a store whose content changed, not just a
+/// different platform or config.
 pub fn run_checkpointed(
-    sources: Vec<Box<dyn ActionSource>>,
+    sources: Sources,
     platform: Platform,
     hosts: &[HostId],
     cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer>>,
     policy: Option<&CheckpointPolicy>,
     resume: Option<&ReplayCheckpoint>,
 ) -> Result<CheckpointedOutcome, ReplayError> {
-    run_checkpointed_keyed(sources, platform, hosts, cfg, extra, policy, resume, 0)
+    let fp = keyed_fingerprint(fingerprint(&platform, cfg, sources.ranks.len()), sources.salt);
+    let mut run = start(sources, platform, hosts, cfg, observer)?;
+    checkpoint_loop(&mut run, fp, policy, resume).map_err(|e| run.retype(e))
 }
 
-/// [`run_checkpointed`] with the checkpoint fingerprint additionally
-/// keyed on `trace_salt` ([`keyed_fingerprint`]). Store-backed replays
-/// pass the TIB2 footer hash here, so a checkpoint refuses to resume
-/// against a store whose content changed — not just a different
-/// platform or config. `trace_salt == 0` is exactly [`run_checkpointed`].
-// One parameter per pipeline input, mirroring run_checkpointed plus the salt.
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_keyed(
-    sources: Vec<Box<dyn ActionSource>>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
+fn checkpoint_loop(
+    run: &mut Started,
+    fp: u64,
     policy: Option<&CheckpointPolicy>,
     resume: Option<&ReplayCheckpoint>,
-    trace_salt: u64,
 ) -> Result<CheckpointedOutcome, ReplayError> {
-    if sources.len() != hosts.len() {
-        return Err(ReplayError::Deployment { procs: sources.len(), hosts: hosts.len() });
-    }
-    let fp = keyed_fingerprint(fingerprint(&platform, cfg, sources.len()), trace_salt);
-    let mut engine = Engine::new(platform);
-    engine.set_network_config(cfg.network.clone());
-    if let Some(obs) = extra {
-        engine.set_observer(obs);
-    }
-    let registry = Arc::new(Registry::with_defaults());
-    let counter = Arc::new(AtomicU64::new(0));
-    for (rank, src) in sources.into_iter().enumerate() {
-        let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
-        engine.spawn(Box::new(actor), hosts[rank]);
-    }
+    let Started { engine, counter, .. } = run;
     let resumed = if let Some(ck) = resume {
         if ck.fingerprint != fp {
             return Err(ck_err(format!(
@@ -657,42 +624,6 @@ pub fn run_checkpointed_keyed(
             }
         }
     }
-}
-
-/// [`run_checkpointed`] over per-process trace files (fresh start).
-pub fn replay_files_checkpointed(
-    dir: &Path,
-    nproc: usize,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-    policy: &CheckpointPolicy,
-) -> Result<CheckpointedOutcome, ReplayError> {
-    let sources = open_file_sources(dir, nproc)?;
-    run_checkpointed(sources, platform, hosts, cfg, extra, Some(policy), None)
-}
-
-/// Resumes a replay of per-process trace files from `checkpoint`,
-/// optionally continuing to checkpoint under `policy`. The trace files
-/// and configuration must match the checkpointed run; mismatches fail
-/// closed ([`ReplayError::Checkpoint`]).
-// One parameter per pipeline input; bundling them would just move the
-// argument list into a struct literal at every call site.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_files(
-    dir: &Path,
-    nproc: usize,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-    checkpoint: &Path,
-    policy: Option<&CheckpointPolicy>,
-) -> Result<CheckpointedOutcome, ReplayError> {
-    let ck = ReplayCheckpoint::load(checkpoint)?;
-    let sources = open_file_sources(dir, nproc)?;
-    run_checkpointed(sources, platform, hosts, cfg, extra, policy, Some(&ck))
 }
 
 #[cfg(test)]
@@ -771,7 +702,7 @@ mod tests {
             max_wall: Budget::unlimited(),
             stop_after_checkpoints: None,
         };
-        let ck = replay_files_checkpointed(&d, 4, p2, &hosts, &plain_cfg(), None, &policy)
+        let ck = run_checkpointed(Sources::files(&d, 4).unwrap(), p2, &hosts, &plain_cfg(), None, Some(&policy), None)
             .unwrap();
         match ck.status {
             CheckpointedStatus::Finished { simulated_time } => {
@@ -805,7 +736,7 @@ mod tests {
                     stop_after_checkpoints: Some(stop_at),
                 };
                 let first =
-                    replay_files_checkpointed(&d, 4, p1, &hosts, &plain_cfg(), None, &policy)
+                    run_checkpointed(Sources::files(&d, 4).unwrap(), p1, &hosts, &plain_cfg(), None, Some(&policy), None)
                         .unwrap();
                 match first.status {
                     CheckpointedStatus::Finished { simulated_time } => {
@@ -821,15 +752,14 @@ mod tests {
                 }
                 // ...then resume and run to the end.
                 let (p2, _) = mycluster(4);
-                let resumed = resume_files(
-                    &d,
-                    4,
+                let resumed = run_checkpointed(
+                    Sources::files(&d, 4).unwrap(),
                     p2,
                     &hosts,
                     &plain_cfg(),
                     None,
-                    &ckpath,
                     None,
+                    Some(&ReplayCheckpoint::load(&ckpath).unwrap()),
                 )
                 .unwrap();
                 assert!(resumed.resumed);
@@ -862,19 +792,18 @@ mod tests {
             max_wall: Budget::unlimited(),
             stop_after_checkpoints: Some(1),
         };
-        replay_files_checkpointed(&d, 4, p1, &hosts, &plain_cfg(), None, &policy).unwrap();
+        run_checkpointed(Sources::files(&d, 4).unwrap(), p1, &hosts, &plain_cfg(), None, Some(&policy), None).unwrap();
         // Different network model → different fingerprint → refused.
         let (p2, _) = mycluster(4);
-        let err = resume_files(
-            &d,
-            4,
-            p2,
-            &hosts,
-            &ReplayConfig::default(),
-            None,
-            &ckpath,
-            None,
-        )
+        let err = run_checkpointed(
+                    Sources::files(&d, 4).unwrap(),
+                    p2,
+                    &hosts,
+                    &ReplayConfig::default(),
+                    None,
+                    None,
+                    Some(&ReplayCheckpoint::load(&ckpath).unwrap()),
+                )
         .unwrap_err();
         assert!(matches!(err, ReplayError::Checkpoint { .. }), "{err}");
         assert!(err.to_string().contains("fingerprint"), "{err}");
@@ -905,27 +834,21 @@ mod tests {
             max_wall: Budget::unlimited(),
             stop_after_checkpoints: Some(1),
         };
-        let srcs = open_file_sources(&d, 4).unwrap();
-        let first = run_checkpointed_keyed(
-            srcs, p1, &hosts, &plain_cfg(), None, Some(&policy), None, 0x5eed,
-        )
+        let srcs = Sources { salt: 0x5eed, ..Sources::files(&d, 4).unwrap() };
+        let first = run_checkpointed(srcs, p1, &hosts, &plain_cfg(), None, Some(&policy), None)
         .unwrap();
         assert!(matches!(first.status, CheckpointedStatus::Paused { .. }));
         let ck = ReplayCheckpoint::load(&ckpath).unwrap();
         // Same platform/config, different store content → refused.
         let (p2, _) = mycluster(4);
-        let srcs = open_file_sources(&d, 4).unwrap();
-        let err = run_checkpointed_keyed(
-            srcs, p2, &hosts, &plain_cfg(), None, None, Some(&ck), 0x0bad,
-        )
+        let srcs = Sources { salt: 0x0bad, ..Sources::files(&d, 4).unwrap() };
+        let err = run_checkpointed(srcs, p2, &hosts, &plain_cfg(), None, None, Some(&ck))
         .unwrap_err();
         assert!(matches!(err, ReplayError::Checkpoint { .. }), "{err}");
         // The matching salt resumes and finishes.
         let (p3, _) = mycluster(4);
-        let srcs = open_file_sources(&d, 4).unwrap();
-        let done = run_checkpointed_keyed(
-            srcs, p3, &hosts, &plain_cfg(), None, None, Some(&ck), 0x5eed,
-        )
+        let srcs = Sources { salt: 0x5eed, ..Sources::files(&d, 4).unwrap() };
+        let done = run_checkpointed(srcs, p3, &hosts, &plain_cfg(), None, None, Some(&ck))
         .unwrap();
         assert!(done.resumed);
         assert!(matches!(done.status, CheckpointedStatus::Finished { .. }));
@@ -944,14 +867,12 @@ mod tests {
             max_wall: Budget::unlimited(),
             stop_after_checkpoints: Some(1),
         };
-        replay_files_checkpointed(&d, 4, p1, &hosts, &plain_cfg(), None, &policy).unwrap();
+        run_checkpointed(Sources::files(&d, 4).unwrap(), p1, &hosts, &plain_cfg(), None, Some(&policy), None).unwrap();
         let mut bytes = std::fs::read(&ckpath).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&ckpath, &bytes).unwrap();
-        let (p2, _) = mycluster(4);
-        let err =
-            resume_files(&d, 4, p2, &hosts, &plain_cfg(), None, &ckpath, None).unwrap_err();
+        let err = ReplayCheckpoint::load(&ckpath).unwrap_err();
         assert!(matches!(err, ReplayError::Checkpoint { .. }), "{err}");
         std::fs::remove_dir_all(&d).unwrap();
     }
@@ -968,7 +889,7 @@ mod tests {
             max_wall: Budget::limited(Duration::ZERO),
             stop_after_checkpoints: None,
         };
-        let out = replay_files_checkpointed(&d, 4, p1, &hosts, &plain_cfg(), None, &policy)
+        let out = run_checkpointed(Sources::files(&d, 4).unwrap(), p1, &hosts, &plain_cfg(), None, Some(&policy), None)
             .unwrap();
         match out.status {
             CheckpointedStatus::Paused { reason, .. } => {
@@ -982,7 +903,15 @@ mod tests {
         let (p3, _) = mycluster(4);
         let reference = crate::replay_files(&d, 4, p2, &hosts, &plain_cfg()).unwrap();
         let resumed =
-            resume_files(&d, 4, p3, &hosts, &plain_cfg(), None, &ckpath, None).unwrap();
+            run_checkpointed(
+                    Sources::files(&d, 4).unwrap(),
+                    p3,
+                    &hosts,
+                    &plain_cfg(),
+                    None,
+                    None,
+                    Some(&ReplayCheckpoint::load(&ckpath).unwrap()),
+                ).unwrap();
         match resumed.status {
             CheckpointedStatus::Finished { simulated_time } => {
                 assert_eq!(simulated_time.to_bits(), reference.simulated_time.to_bits());

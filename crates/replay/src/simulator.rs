@@ -4,15 +4,16 @@
 use crate::collectives::CollectiveAlgo;
 use crate::error::ReplayError;
 use crate::handlers::Registry;
-use crate::process::{ActionSource, CompactSource, FileSource, ReplayActor, VecSource};
+use crate::process::{ReplayActor, Sources};
+use crate::store::SegmentCache;
 use simkern::netmodel::NetworkConfig;
 use simkern::observer::{Fanout, Observer, OpRecord};
 use simkern::resource::HostId;
-use simkern::{Engine, KernelMode, Platform};
+use simkern::{Engine, KernelMode, Platform, SimError};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tit_core::trace::process_trace_filename;
+use std::time::Instant;
 use tit_core::TiTrace;
 
 /// Replay-tool configuration.
@@ -77,54 +78,115 @@ impl Observer for SharedCollector {
     }
 }
 
-pub(crate) fn run(
-    sources: Vec<Box<dyn ActionSource>>,
+/// An engine with every rank's actor spawned, configured from the whole
+/// [`ReplayConfig`], ready for `run_checked` / `run_until` (or a
+/// snapshot restore first).
+pub(crate) struct Started {
+    pub(crate) engine: Engine,
+    /// Actions pulled from the sources so far (shared by all actors).
+    pub(crate) counter: Arc<AtomicU64>,
+    records: Option<Arc<Mutex<Vec<OpRecord>>>>,
+    cache: Option<Arc<SegmentCache>>,
+}
+
+impl Started {
+    /// Actions replayed so far.
+    pub(crate) fn actions(&self) -> u64 {
+        self.counter.load(Ordering::Relaxed)
+    }
+
+    /// The timed trace, when `cfg.collect_records` was set.
+    pub(crate) fn take_records(&self) -> Option<Vec<OpRecord>> {
+        // panics: mutex poisoned only if another thread already panicked
+        self.records.as_ref().map(|r| std::mem::take(&mut *r.lock().unwrap()))
+    }
+
+    /// Upgrades a failure caused by a recorded segment-cache fault back
+    /// into its typed form ([`ReplayError::Store`] /
+    /// [`ReplayError::Memory`]): the engine only carries stringly actor
+    /// failures, but the cache remembers what actually went wrong.
+    pub(crate) fn retype(&self, err: ReplayError) -> ReplayError {
+        self.cache.as_ref().and_then(|c| c.take_fault()).unwrap_or(err)
+    }
+
+    /// The damage-tolerant reading of an engine stop, shared by the
+    /// degraded drivers and tolerant requests: a deadlock, actor
+    /// failure or protocol violation caused by damage becomes part of
+    /// the answer as `(time reached, detail)`. A budget refusal is an
+    /// environment problem, not damage, and stays a typed error.
+    pub(crate) fn downgrade(&self, e: SimError) -> Result<(f64, String), ReplayError> {
+        match e {
+            SimError::Deadlock { .. }
+            | SimError::ActorFailure { .. }
+            | SimError::Protocol { .. } => match self.cache.as_ref().and_then(|c| c.take_fault()) {
+                Some(m @ ReplayError::Memory(_)) => Err(m),
+                _ => Ok((e.time(), e.to_string())),
+            },
+        }
+    }
+}
+
+/// The one engine setup behind every driver: checks the deployment,
+/// applies the whole [`ReplayConfig`] (kernel mode, network model,
+/// kernel profiling, timed-trace collection fanned out with
+/// `observer`) and spawns one [`ReplayActor`] per rank.
+pub(crate) fn start(
+    sources: Sources,
     platform: Platform,
     hosts: &[HostId],
     cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    if sources.len() != hosts.len() {
-        return Err(ReplayError::Deployment { procs: sources.len(), hosts: hosts.len() });
+    observer: Option<Box<dyn Observer>>,
+) -> Result<Started, ReplayError> {
+    let Sources { ranks, cache, .. } = sources;
+    if ranks.len() != hosts.len() {
+        return Err(ReplayError::Deployment { procs: ranks.len(), hosts: hosts.len() });
     }
     let mut engine = Engine::new(platform);
     engine.set_kernel_mode(cfg.kernel);
     engine.set_network_config(cfg.network.clone());
-    let records = Arc::new(Mutex::new(Vec::new()));
-    match (cfg.collect_records, extra) {
-        (true, Some(obs)) => engine.set_observer(Box::new(
-            Fanout::new().with(Box::new(SharedCollector(records.clone()))).with(obs),
-        )),
-        (true, None) => engine.set_observer(Box::new(SharedCollector(records.clone()))),
-        (false, Some(obs)) => engine.set_observer(obs),
-        (false, None) => {}
-    }
     if cfg.kernel_profile {
         engine.enable_kernel_profiling();
     }
+    let records = cfg.collect_records.then(|| Arc::new(Mutex::new(Vec::new())));
+    let collector = records
+        .as_ref()
+        .map(|r| Box::new(SharedCollector(Arc::clone(r))) as Box<dyn Observer>);
+    match (collector, observer) {
+        (Some(c), Some(obs)) => engine.set_observer(Box::new(Fanout::new().with(c).with(obs))),
+        (Some(obs), None) | (None, Some(obs)) => engine.set_observer(obs),
+        (None, None) => {}
+    }
     let registry = Arc::new(Registry::with_defaults());
     let counter = Arc::new(AtomicU64::new(0));
-    for (rank, src) in sources.into_iter().enumerate() {
-        let actor =
-            ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
+    for (rank, src) in ranks.into_iter().enumerate() {
+        let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
         engine.spawn(Box::new(actor), hosts[rank]);
     }
-    let t0 = std::time::Instant::now();
-    let simulated_time = engine.run_checked().map_err(ReplayError::from)?;
+    Ok(Started { engine, counter, records, cache })
+}
+
+/// Replays `sources` to completion: the strict driver. `hosts[rank]` is
+/// rank's host; `observer` (a `titobs` timeline, profile or metrics
+/// sink, or several through [`Fanout`]) streams every completed
+/// operation and is composed with the timed-trace collector when
+/// `cfg.collect_records` is set.
+pub fn replay(
+    sources: Sources,
+    platform: Platform,
+    hosts: &[HostId],
+    cfg: &ReplayConfig,
+    observer: Option<Box<dyn Observer>>,
+) -> Result<ReplayOutcome, ReplayError> {
+    let mut run = start(sources, platform, hosts, cfg, observer)?;
+    let t0 = Instant::now();
+    let simulated_time = run.engine.run_checked().map_err(|e| run.retype(e.into()))?;
     let wall_time = t0.elapsed();
-    let kernel_profile = engine.take_kernel_profile();
-    let records = if cfg.collect_records {
-        // panics: mutex poisoned only if another thread already panicked
-        Some(std::mem::take(&mut *records.lock().unwrap()))
-    } else {
-        None
-    };
     Ok(ReplayOutcome {
         simulated_time,
-        actions_replayed: counter.load(Ordering::Relaxed),
+        actions_replayed: run.actions(),
         wall_time,
-        records,
-        kernel_profile,
+        records: run.take_records(),
+        kernel_profile: run.engine.take_kernel_profile(),
     })
 }
 
@@ -135,33 +197,11 @@ pub fn replay_memory(
     hosts: &[HostId],
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, ReplayError> {
-    replay_memory_observed(trace, platform, hosts, cfg, None)
-}
-
-/// Like [`replay_memory`], with an extra [`Observer`] installed for the
-/// run (composed with the timed-trace collector when
-/// `cfg.collect_records` is set). Streaming telemetry sinks — a
-/// `titobs` timeline, profile or metrics observer, or several through
-/// [`Fanout`] — attach here without buffering the run.
-pub fn replay_memory_observed(
-    trace: &TiTrace,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    let sources: Vec<Box<dyn ActionSource>> = trace
-        .actions
-        .iter()
-        .map(|a| Box::new(VecSource::new(a.clone())) as Box<dyn ActionSource>)
-        .collect();
-    run(sources, platform, hosts, cfg, extra)
+    replay(Sources::memory(trace), platform, hosts, cfg, None)
 }
 
 /// Replays per-process trace files `SG_process<rank>.trace` from `dir`,
-/// streaming them (constant memory in trace size). A rank whose file is
-/// missing is a [`ReplayError::MissingRank`] naming the rank — degraded
-/// input degrades to a diagnosis, never to a hang.
+/// streaming them (see [`Sources::files`]).
 pub fn replay_files(
     dir: &Path,
     nproc: usize,
@@ -169,105 +209,7 @@ pub fn replay_files(
     hosts: &[HostId],
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, ReplayError> {
-    replay_files_observed(dir, nproc, platform, hosts, cfg, None)
-}
-
-/// Like [`replay_files`], with an extra [`Observer`] installed for the
-/// run (see [`replay_memory_observed`]). The streaming source plus a
-/// streaming observer keep memory constant in trace length.
-pub fn replay_files_observed(
-    dir: &Path,
-    nproc: usize,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    let mut sources: Vec<Box<dyn ActionSource>> = Vec::with_capacity(nproc);
-    for rank in 0..nproc {
-        let path = dir.join(process_trace_filename(rank));
-        let src = FileSource::open(&path, rank)
-            .map_err(|source| ReplayError::MissingRank { rank, path: path.clone(), source })?;
-        sources.push(Box::new(src));
-    }
-    run(sources, platform, hosts, cfg, extra)
-}
-
-/// Replays a shared interned [`CompactTrace`](tit_core::CompactTrace):
-/// the fast path for repeated or memory-bound replays. Ranks stream
-/// straight out of the struct-of-arrays storage (~16 bytes/action, no
-/// per-rank copies), so a folded ×8 class-D-scale trace loads once and
-/// replays many times.
-pub fn replay_compact(
-    trace: &Arc<tit_core::CompactTrace>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-) -> Result<ReplayOutcome, ReplayError> {
-    replay_compact_observed(trace, platform, hosts, cfg, None)
-}
-
-/// Like [`replay_compact`], with an extra [`Observer`] installed for the
-/// run (see [`replay_memory_observed`]).
-pub fn replay_compact_observed(
-    trace: &Arc<tit_core::CompactTrace>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    let sources: Vec<Box<dyn ActionSource>> = (0..trace.num_processes())
-        .map(|rank| {
-            Box::new(CompactSource::new(Arc::clone(trace), rank)) as Box<dyn ActionSource>
-        })
-        .collect();
-    run(sources, platform, hosts, cfg, extra)
-}
-
-/// Like [`replay_files`], but ingests the `nproc` per-rank files in
-/// parallel (`jobs` worker threads, `0` = one per CPU) into a
-/// [`CompactTrace`](tit_core::CompactTrace) first and replays that.
-/// Trades the streaming path's constant memory for load throughput; the
-/// result is identical — same simulated time, same per-file errors
-/// ([`ReplayError::MissingRank`] for an absent file,
-/// [`ReplayError::Trace`] for a defective one).
-pub fn replay_files_jobs(
-    dir: &Path,
-    nproc: usize,
-    jobs: usize,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    let compact = tit_core::load_compact_exact(dir, nproc, jobs).map_err(|e| {
-        if e.source.kind() == std::io::ErrorKind::NotFound {
-            ReplayError::MissingRank { rank: e.rank, path: e.path, source: e.source }
-        } else {
-            ReplayError::Trace { rank: e.rank, detail: e.source.to_string() }
-        }
-    })?;
-    replay_compact_observed(&Arc::new(compact), platform, hosts, cfg, extra)
-}
-
-/// Replays binary per-process traces `SG_process<rank>.btrace` from
-/// `dir` (the paper's future-work format; see `tit_core::binfmt`).
-pub fn replay_binary_files(
-    dir: &Path,
-    nproc: usize,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-) -> Result<ReplayOutcome, ReplayError> {
-    use crate::process::BinFileSource;
-    let mut sources: Vec<Box<dyn ActionSource>> = Vec::with_capacity(nproc);
-    for rank in 0..nproc {
-        let path = dir.join(tit_core::binfmt::binary_trace_filename(rank));
-        let src = BinFileSource::open(&path, rank)
-            .map_err(|source| ReplayError::MissingRank { rank, path: path.clone(), source })?;
-        sources.push(Box::new(src));
-    }
-    run(sources, platform, hosts, cfg, None)
+    replay(Sources::files(dir, nproc)?, platform, hosts, cfg, None)
 }
 
 #[cfg(test)]
@@ -416,7 +358,7 @@ mod tests {
         let (p1, hosts) = mycluster(4);
         let (p2, _) = mycluster(4);
         let mem = replay_memory(&t, p1, &hosts, &plain_cfg()).unwrap();
-        let cmp = replay_compact(&compact, p2, &hosts, &plain_cfg()).unwrap();
+        let cmp = replay(Sources::compact(&compact), p2, &hosts, &plain_cfg(), None).unwrap();
         assert_eq!(mem.simulated_time, cmp.simulated_time);
         assert_eq!(mem.actions_replayed, cmp.actions_replayed);
     }
@@ -430,11 +372,24 @@ mod tests {
         let (p1, hosts) = mycluster(4);
         let (p2, _) = mycluster(4);
         let streaming = replay_files(&dir, 4, p1, &hosts, &plain_cfg()).unwrap();
-        let parallel =
-            replay_files_jobs(&dir, 4, 3, p2, &hosts, &plain_cfg(), None).unwrap();
+        let compact = Arc::new(tit_core::load_compact_exact(&dir, 4, 3).unwrap());
+        let parallel = replay(Sources::compact(&compact), p2, &hosts, &plain_cfg(), None).unwrap();
         assert_eq!(streaming.simulated_time, parallel.simulated_time);
         assert_eq!(streaming.actions_replayed, parallel.actions_replayed);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `--jobs N` path: parallel ingest into a compact trace, then
+    /// replay; ingest failures convert into typed replay errors.
+    fn jobs_replay(
+        dir: &Path,
+        nproc: usize,
+        jobs: usize,
+        platform: Platform,
+        hosts: &[HostId],
+    ) -> Result<ReplayOutcome, ReplayError> {
+        let compact = Arc::new(tit_core::load_compact_exact(dir, nproc, jobs)?);
+        replay(Sources::compact(&compact), platform, hosts, &plain_cfg(), None)
     }
 
     #[test]
@@ -443,14 +398,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         ring_trace().save_per_process(&dir).unwrap();
         let (p1, hosts5) = mycluster(5);
-        let err = replay_files_jobs(&dir, 5, 2, p1, &hosts5, &plain_cfg(), None).unwrap_err();
+        let err = jobs_replay(&dir, 5, 2, p1, &hosts5).unwrap_err();
         match err {
             ReplayError::MissingRank { rank, .. } => assert_eq!(rank, 4),
             other => panic!("expected MissingRank, got {other}"),
         }
         std::fs::write(dir.join("SG_process2.trace"), "p2 frobnicate\n").unwrap();
         let (p2, hosts4) = mycluster(4);
-        let err = replay_files_jobs(&dir, 4, 2, p2, &hosts4, &plain_cfg(), None).unwrap_err();
+        let err = jobs_replay(&dir, 4, 2, p2, &hosts4).unwrap_err();
         match err {
             ReplayError::Trace { rank, detail } => {
                 assert_eq!(rank, 2);
@@ -462,20 +417,30 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_text_traces_replay_identically() {
-        let dir =
-            std::env::temp_dir().join(format!("titr-binreplay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let t = ring_trace();
-        t.save_per_process(&dir).unwrap();
-        tit_core::binfmt::convert_dir(&dir, &dir, 4).unwrap();
-        let (p1, hosts) = mycluster(4);
-        let (p2, _) = mycluster(4);
-        let text = replay_files(&dir, 4, p1, &hosts, &plain_cfg()).unwrap();
-        let bin = replay_binary_files(&dir, 4, p2, &hosts, &plain_cfg()).unwrap();
-        assert_eq!(text.simulated_time, bin.simulated_time);
-        assert_eq!(text.actions_replayed, bin.actions_replayed);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn start_applies_the_whole_config() {
+        // Every driver goes through `start`, so this pins that none of
+        // them can silently drop a ReplayConfig field.
+        for kernel in [KernelMode::Incremental, KernelMode::Reference] {
+            for flag in [false, true] {
+                let cfg = ReplayConfig {
+                    network: NetworkConfig::constant(),
+                    kernel,
+                    kernel_profile: flag,
+                    collect_records: flag,
+                    ..Default::default()
+                };
+                let (p, hosts) = mycluster(4);
+                let mut run = start(Sources::memory(&ring_trace()), p, &hosts, &cfg, None).unwrap();
+                assert_eq!(run.engine.kernel_mode(), kernel);
+                assert_eq!(
+                    format!("{:?}", run.engine.network_config()),
+                    format!("{:?}", cfg.network)
+                );
+                run.engine.run_checked().unwrap();
+                assert_eq!(run.engine.take_kernel_profile().is_some(), flag, "kprof");
+                assert_eq!(run.take_records().map(|r| r.len()), flag.then_some(12));
+            }
+        }
     }
 
     #[test]
@@ -509,8 +474,8 @@ mod tests {
         let state = Arc::new(Mutex::new((0u64, 0.0f64)));
         let (p, hosts) = mycluster(4);
         let cfg = ReplayConfig { collect_records: true, ..plain_cfg() };
-        let out = replay_memory_observed(
-            &ring_trace(),
+        let out = replay(
+            Sources::memory(&ring_trace()),
             p,
             &hosts,
             &cfg,

@@ -27,14 +27,13 @@
 //! equal `--trace-dir` simulated times to the last bit (the
 //! differential test in `tests/store.rs` holds this line).
 
-use crate::degraded::{DegradationReason, DegradedOutcome, RankDegradation};
+use crate::degraded::{replay_salvage, DegradationReason, DegradedOutcome, RankDegradation};
 use crate::error::ReplayError;
-use crate::handlers::Registry;
-use crate::process::{ActionSource, ReplayActor};
-use crate::simulator::{run, ReplayConfig, ReplayOutcome};
+use crate::process::{ActionSource, Sources};
+use crate::simulator::ReplayConfig;
 use simkern::observer::Observer;
 use simkern::resource::HostId;
-use simkern::{Engine, Platform, SimError};
+use simkern::Platform;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,9 +134,9 @@ impl SegmentCache {
     /// Takes the first typed fault recorded by a source, if any — the
     /// replay drivers use this to upgrade a stringly actor failure back
     /// into [`ReplayError::Store`] / [`ReplayError::Memory`].
-    fn take_fault(&self) -> Option<Fault> {
+    pub(crate) fn take_fault(&self) -> Option<ReplayError> {
         // panics: mutex poisoned only if another thread already panicked
-        self.fault.lock().unwrap().take()
+        self.fault.lock().unwrap().take().map(|f| f.to_replay_error())
     }
 
     fn record_fault(&self, f: Fault) {
@@ -301,81 +300,6 @@ pub fn store_sources(cache: &Arc<SegmentCache>) -> Vec<Box<dyn ActionSource>> {
         .collect()
 }
 
-/// Upgrades a replay failure caused by a recorded cache fault back into
-/// its typed form ([`ReplayError::Store`] / [`ReplayError::Memory`]):
-/// the engine only carries stringly actor failures, but the cache
-/// remembers what actually went wrong.
-fn retype(err: ReplayError, cache: &SegmentCache) -> ReplayError {
-    match cache.take_fault() {
-        Some(f) => f.to_replay_error(),
-        None => err,
-    }
-}
-
-/// Replays a `TIB2` store under a memory budget. Strict: the first
-/// damaged segment stops the replay with a typed
-/// [`ReplayError::Store`]; an unmeetable budget stops it with
-/// [`ReplayError::Memory`]. On a clean store the simulated time is
-/// bit-identical to the fully-resident [`crate::replay_compact`] path.
-pub fn replay_store(
-    store: &Arc<Tib2Store>,
-    budget: Arc<MemBudget>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-) -> Result<ReplayOutcome, ReplayError> {
-    replay_store_observed(store, budget, platform, hosts, cfg, None)
-}
-
-/// Like [`replay_store`], with an extra [`Observer`] installed
-/// (matching [`crate::replay_compact_observed`]).
-pub fn replay_store_observed(
-    store: &Arc<Tib2Store>,
-    budget: Arc<MemBudget>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-) -> Result<ReplayOutcome, ReplayError> {
-    let cache = Arc::new(SegmentCache::new(Arc::clone(store), budget));
-    let sources = store_sources(&cache);
-    run(sources, platform, hosts, cfg, extra).map_err(|e| retype(e, &cache))
-}
-
-/// [`crate::resume::run_checkpointed`] over a `TIB2` store: checkpoints
-/// and resumes, with the checkpoint fingerprint additionally keyed on
-/// the store's footer hash ([`Tib2Store::fingerprint`] via
-/// [`crate::resume::keyed_fingerprint`]). A checkpoint taken against
-/// one store refuses to resume against a store whose content differs —
-/// even on an identical platform and config. Cache faults surface
-/// typed, exactly as in [`replay_store`].
-// One parameter per pipeline input, mirroring run_checkpointed.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_store_checkpointed(
-    store: &Arc<Tib2Store>,
-    budget: Arc<MemBudget>,
-    platform: Platform,
-    hosts: &[HostId],
-    cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
-    policy: Option<&crate::resume::CheckpointPolicy>,
-    resume: Option<&crate::resume::ReplayCheckpoint>,
-) -> Result<crate::resume::CheckpointedOutcome, ReplayError> {
-    let cache = Arc::new(SegmentCache::new(Arc::clone(store), budget));
-    let sources = store_sources(&cache);
-    crate::resume::run_checkpointed_keyed(
-        sources,
-        platform,
-        hosts,
-        cfg,
-        extra,
-        policy,
-        resume,
-        store.fingerprint(),
-    )
-    .map_err(|e| retype(e, &cache))
-}
-
 /// Segment-granular degraded replay: verifies every segment first
 /// (O(one segment) memory), trims each damaged rank at its last
 /// verified segment boundary, and replays the salvage. The footer
@@ -389,12 +313,9 @@ pub fn replay_store_degraded(
     platform: Platform,
     hosts: &[HostId],
     cfg: &ReplayConfig,
-    extra: Option<Box<dyn Observer>>,
+    observer: Option<Box<dyn Observer>>,
 ) -> Result<DegradedOutcome, ReplayError> {
     let nproc = store.num_ranks();
-    if nproc != hosts.len() {
-        return Err(ReplayError::Deployment { procs: nproc, hosts: hosts.len() });
-    }
 
     // Verification sweep: first damaged segment per rank, if any.
     let mut limits = Vec::with_capacity(nproc);
@@ -423,53 +344,26 @@ pub fn replay_store_degraded(
         }
         limits.push(limit);
     }
-    let actions_expected = store.num_actions();
-
     let cache = Arc::new(SegmentCache::new(Arc::clone(store), budget));
-    let mut engine = Engine::new(platform);
-    engine.set_network_config(cfg.network.clone());
-    if let Some(obs) = extra {
-        engine.set_observer(obs);
-    }
-    let registry = Arc::new(Registry::with_defaults());
-    let counter = Arc::new(AtomicU64::new(0));
-    for (rank, &limit) in limits.iter().enumerate() {
-        let src: Box<dyn ActionSource> =
-            Box::new(SegmentedSource::trimmed(Arc::clone(&cache), rank, limit));
-        let actor = ReplayActor::new(rank, src, registry.clone(), cfg.algo, counter.clone());
-        engine.spawn(Box::new(actor), hosts[rank]);
-    }
-    let t0 = std::time::Instant::now();
-    let (simulated_time, failure) = match engine.run_checked() {
-        Ok(t) => (t, None),
-        // Damage-induced stops become part of the answer (the degraded
-        // contract) — but a budget refusal is an environment problem,
-        // not damage, and stays a typed error.
-        Err(
-            e @ (SimError::Deadlock { .. }
-            | SimError::ActorFailure { .. }
-            | SimError::Protocol { .. }),
-        ) => {
-            if let Some(f @ Fault::Memory(_)) = cache.take_fault() {
-                return Err(f.to_replay_error());
-            }
-            (e.time(), Some(e.to_string()))
-        }
+    let sources = Sources {
+        ranks: limits
+            .iter()
+            .enumerate()
+            .map(|(rank, &limit)| {
+                Box::new(SegmentedSource::trimmed(Arc::clone(&cache), rank, limit))
+                    as Box<dyn ActionSource>
+            })
+            .collect(),
+        cache: Some(cache),
+        salt: store.fingerprint(),
     };
-    Ok(DegradedOutcome {
-        simulated_time,
-        actions_replayed: counter.load(Ordering::Relaxed),
-        actions_expected,
-        wall_time: t0.elapsed(),
-        ranks,
-        failure,
-    })
+    replay_salvage(sources, store.num_actions(), ranks, platform, hosts, cfg, observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::replay_compact;
+    use crate::simulator::replay;
     use simkern::netmodel::NetworkConfig;
     use tit_core::tib2::write_compact_atomic;
     use tit_core::{CompactTrace, TiTrace};
@@ -529,9 +423,9 @@ mod tests {
         let (path, store) = tmp_store(&trace, 64);
         let cfg = ReplayConfig { network: NetworkConfig::default(), ..Default::default() };
         let (p1, h1) = testbed(4);
-        let a = replay_compact(&trace, p1, &h1, &cfg).unwrap();
+        let a = replay(Sources::compact(&trace), p1, &h1, &cfg, None).unwrap();
         let (p2, h2) = testbed(4);
-        let b = replay_store(&store, Arc::new(MemBudget::unlimited()), p2, &h2, &cfg)
+        let b = replay(Sources::store(&store, Arc::new(MemBudget::unlimited())), p2, &h2, &cfg, None)
             .unwrap();
         assert_eq!(a.simulated_time.to_bits(), b.simulated_time.to_bits());
         assert_eq!(a.actions_replayed, b.actions_replayed);
@@ -544,13 +438,13 @@ mod tests {
         let (path, store) = tmp_store(&trace, 32);
         let cfg = ReplayConfig { network: NetworkConfig::default(), ..Default::default() };
         let (p1, h1) = testbed(4);
-        let a = replay_compact(&trace, p1, &h1, &cfg).unwrap();
+        let a = replay(Sources::compact(&trace), p1, &h1, &cfg, None).unwrap();
         // Budget for ~6 decoded segments: forces heavy evict/re-fault.
         let budget = Arc::new(MemBudget::new(6 * 700));
         let (p2, h2) = testbed(4);
         let cache = Arc::new(SegmentCache::new(Arc::clone(&store), Arc::clone(&budget)));
         let sources = store_sources(&cache);
-        let b = run(sources, p2, &h2, &cfg, None).unwrap();
+        let b = replay(Sources::from_ranks(sources), p2, &h2, &cfg, None).unwrap();
         assert_eq!(a.simulated_time.to_bits(), b.simulated_time.to_bits());
         assert!(cache.eviction_count() > 0, "budget never forced an eviction");
         let total_segments: u64 =
@@ -587,7 +481,7 @@ mod tests {
         let cfg = ReplayConfig { network: NetworkConfig::default(), ..Default::default() };
         let (p, h) = testbed(4);
         // Fewer bytes than one segment: nothing can ever be resident.
-        let err = replay_store(&store, Arc::new(MemBudget::new(64)), p, &h, &cfg)
+        let err = replay(Sources::store(&store, Arc::new(MemBudget::new(64))), p, &h, &cfg, None)
             .unwrap_err();
         match err {
             ReplayError::Memory(m) => assert_eq!(m.budget, 64),
@@ -608,7 +502,7 @@ mod tests {
         let store = Arc::new(Tib2Store::open(&path).unwrap());
         let cfg = ReplayConfig { network: NetworkConfig::default(), ..Default::default() };
         let (p, h) = testbed(4);
-        let err = replay_store(&store, Arc::new(MemBudget::unlimited()), p, &h, &cfg)
+        let err = replay(Sources::store(&store, Arc::new(MemBudget::unlimited())), p, &h, &cfg, None)
             .unwrap_err();
         match err {
             ReplayError::Store(StoreError::SegmentDamaged { rank, segment, offset, .. }) => {
@@ -677,7 +571,9 @@ mod tests {
 
     #[test]
     fn store_checkpoint_binds_to_footer_hash() {
-        use crate::resume::{CheckpointPolicy, CheckpointedStatus, ReplayCheckpoint};
+        use crate::resume::{
+            run_checkpointed, CheckpointPolicy, CheckpointedStatus, ReplayCheckpoint,
+        };
         use tit_core::Budget;
 
         let trace = Arc::new(ring_trace(4, 120));
@@ -697,9 +593,8 @@ mod tests {
             stop_after_checkpoints: Some(1),
         };
         let (p, h) = testbed(4);
-        let first = replay_store_checkpointed(
-            &store_a,
-            Arc::new(MemBudget::unlimited()),
+        let first = run_checkpointed(
+            Sources::store(&store_a, Arc::new(MemBudget::unlimited())),
             p,
             &h,
             &cfg,
@@ -713,9 +608,8 @@ mod tests {
 
         // Resuming against the other store fails closed.
         let (p, h) = testbed(4);
-        let err = replay_store_checkpointed(
-            &store_b,
-            Arc::new(MemBudget::unlimited()),
+        let err = run_checkpointed(
+            Sources::store(&store_b, Arc::new(MemBudget::unlimited())),
             p,
             &h,
             &cfg,
@@ -729,18 +623,12 @@ mod tests {
         // Resuming against the original store finishes bit-identically
         // to the uninterrupted store replay.
         let (p, h) = testbed(4);
-        let reference = replay_store(
-            &store_a,
-            Arc::new(MemBudget::unlimited()),
-            p,
-            &h,
-            &cfg,
-        )
-        .unwrap();
+        let reference =
+            replay(Sources::store(&store_a, Arc::new(MemBudget::unlimited())), p, &h, &cfg, None)
+                .unwrap();
         let (p, h) = testbed(4);
-        let resumed = replay_store_checkpointed(
-            &store_a,
-            Arc::new(MemBudget::unlimited()),
+        let resumed = run_checkpointed(
+            Sources::store(&store_a, Arc::new(MemBudget::unlimited())),
             p,
             &h,
             &cfg,

@@ -37,13 +37,13 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use tit_core::Deadline;
+use tit_core::{Deadline, MemBudget};
 use tit_platform::deployment::Deployment;
 use tit_platform::desc::PlatformDesc;
 use tit_platform::presets;
-use tit_replay::process::{ActionSource, CompactSource, VecSource};
 use tit_replay::{
     run_request, PausedReplay, ReplayError, RequestOutcome, RequestPolicy, RequestStatus,
+    Sources,
 };
 use titobs::Metrics;
 
@@ -135,46 +135,6 @@ enum Loaded {
     Compact(Arc<tit_core::CompactTrace>),
     /// An open segmented store (the `store` reference).
     Store(Arc<tit_core::Tib2Store>),
-}
-
-/// Per-rank sources over a segmented store: a fresh per-job
-/// [`tit_replay::SegmentCache`] (unbounded — admission control, not a
-/// byte cap, is the daemon's memory governor) shared by the kept
-/// ranks, an empty stream per dropped rank.
-fn build_store_sources(
-    store: &Arc<tit_core::Tib2Store>,
-    req: &ReplayRequest,
-) -> Vec<Box<dyn ActionSource>> {
-    let cache = Arc::new(tit_replay::SegmentCache::new(
-        Arc::clone(store),
-        Arc::new(tit_core::MemBudget::unlimited()),
-    ));
-    (0..req.np)
-        .map(|rank| {
-            if req.drop_ranks.contains(&rank) {
-                Box::new(VecSource::new(Vec::new())) as Box<dyn ActionSource>
-            } else {
-                Box::new(tit_replay::SegmentedSource::new(Arc::clone(&cache), rank))
-            }
-        })
-        .collect()
-}
-
-/// Per-rank sources: a shared-trace cursor per kept rank, an empty
-/// stream per dropped rank (the degraded subset).
-fn build_sources(
-    trace: &Arc<tit_core::CompactTrace>,
-    req: &ReplayRequest,
-) -> Vec<Box<dyn ActionSource>> {
-    (0..req.np)
-        .map(|rank| {
-            if req.drop_ranks.contains(&rank) {
-                Box::new(VecSource::new(Vec::new())) as Box<dyn ActionSource>
-            } else {
-                Box::new(CompactSource::new(Arc::clone(trace), rank))
-            }
-        })
-        .collect()
 }
 
 fn outcome_response(req: &ReplayRequest, out: &RequestOutcome) -> Json {
@@ -328,10 +288,16 @@ fn run_job(shared: &Arc<Shared>, job: &mut Job) -> JobEnd {
     };
     let preempt_eligible = job.preemptions < shared.cfg.max_preemptions;
     let preempt = preempt_eligible.then_some(&shared.pressure);
+    // Dropped ranks stream nothing (the degraded subset). A store gets
+    // a fresh per-job segment cache, unbounded: admission control, not
+    // a byte cap, is the daemon's memory governor.
     let (sources, actions_expected) = match &loaded {
-        Loaded::Compact(trace) => (build_sources(trace, req), trace.num_actions() as u64),
-        Loaded::Store(store) => (build_store_sources(store, req), store.num_actions()),
+        Loaded::Compact(trace) => (Sources::compact(trace), trace.num_actions() as u64),
+        Loaded::Store(store) => {
+            (Sources::store(store, Arc::new(MemBudget::unlimited())), store.num_actions())
+        }
     };
+    let sources = sources.drop_ranks(&req.drop_ranks);
     let t_replay = std::time::Instant::now();
     let outcome = run_request(
         sources,

@@ -12,8 +12,10 @@
 //! serialization is therefore deterministic, which the byte-identity
 //! guarantees of the serving layer rely on. Duplicate keys keep the
 //! *first* occurrence on lookup, matching common JSON library behavior.
+//! The writer shares its string escaping and number rendering with every
+//! other emitter through [`tit_core::json`].
 
-use std::fmt::Write as _;
+use tit_core::json::{push_f64, push_string};
 
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 32;
@@ -88,15 +90,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // panics: writing to a String cannot fail
-                    write!(out, "{n}").unwrap();
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Num(n) => push_f64(out, *n),
+            Json::Str(s) => push_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -113,7 +108,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    push_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -132,25 +127,6 @@ impl std::fmt::Display for Json {
         self.write(&mut out);
         f.write_str(&out)
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // panics: writing to a String cannot fail
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Where and why parsing failed.

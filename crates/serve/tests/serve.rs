@@ -298,6 +298,11 @@ fn store_requests_match_trace_dir_and_fail_closed_when_damaged() {
     let damaged =
         c.roundtrip(&format!("{{\"op\":\"replay\",\"id\":\"d\",\"store\":{sp:?},\"np\":3}}"));
     assert_eq!(field(&damaged, "status"), Some("error"), "{damaged}");
+    assert_eq!(field(&damaged, "code"), Some("replay_failed"), "{damaged}");
+    // The typed store error, not a stringly actor failure: the detail
+    // names the damaged segment.
+    let detail = field(&damaged, "detail").unwrap_or_default();
+    assert!(detail.starts_with("TIB2 segment damaged: rank "), "{damaged}");
 
     server.drain();
     server.wait().unwrap();

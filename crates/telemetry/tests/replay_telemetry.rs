@@ -7,7 +7,7 @@ use simkern::resource::HostId;
 use simkern::{NetworkConfig, Platform};
 use tit_core::{Action, TiTrace};
 use tit_platform::desc::{ClusterSpec, ClusterTopology, PlatformDesc};
-use tit_replay::{replay_files_observed, replay_memory_observed, tags, ReplayConfig};
+use tit_replay::{replay, tags, ReplayConfig, Sources};
 use titobs::{Metrics, Profile, SharedBuf, Timeline, TimelineFormat};
 
 fn mycluster(n: usize) -> (Platform, Vec<HostId>) {
@@ -57,9 +57,8 @@ fn example_trace_busy_time_accounts_for_the_makespan() {
     let profile = Profile::new(4, tags::name, tags::is_comm);
     let cfg =
         ReplayConfig { network: NetworkConfig::mpi_cluster(), ..ReplayConfig::default() };
-    let out = replay_files_observed(
-        &example_trace_dir(),
-        4,
+    let out = replay(
+        Sources::files(&example_trace_dir(), 4).unwrap(),
         p,
         &hosts,
         &cfg,
@@ -100,9 +99,8 @@ fn identical_replays_are_byte_identical() {
             .with(csv.sink())
             .with(profile.sink())
             .with(metrics.observer("replay"));
-        let out = replay_files_observed(
-            &example_trace_dir(),
-            4,
+        let out = replay(
+            Sources::files(&example_trace_dir(), 4).unwrap(),
             p,
             &hosts,
             &ReplayConfig::default(),
@@ -149,7 +147,7 @@ fn hundred_thousand_actions_stream_without_collection() {
     let fan = Fanout::new().with(csv.sink()).with(profile.sink());
     let cfg = ReplayConfig { collect_records: false, ..ReplayConfig::default() };
     let out =
-        replay_memory_observed(&t, p, &hosts, &cfg, Some(Box::new(fan))).unwrap();
+        replay(Sources::memory(&t), p, &hosts, &cfg, Some(Box::new(fan))).unwrap();
     assert!(out.records.is_none(), "collect_records: false must not buffer");
     assert_eq!(out.actions_replayed, total);
     let summary = csv.finish().unwrap();
@@ -168,9 +166,8 @@ fn chrome_timeline_is_structurally_valid() {
     let (p, hosts) = mycluster(4);
     let buf = SharedBuf::new();
     let tl = Timeline::new(buf.clone(), 4, TimelineFormat::ChromeJson, tags::name).unwrap();
-    replay_files_observed(
-        &example_trace_dir(),
-        4,
+    replay(
+        Sources::files(&example_trace_dir(), 4).unwrap(),
         p,
         &hosts,
         &ReplayConfig::default(),
@@ -203,7 +200,7 @@ proptest! {
         let (p, hosts) = mycluster(n);
         let profile = Profile::new(n, tags::name, tags::is_comm);
         let cfg = ReplayConfig { collect_records: true, ..ReplayConfig::default() };
-        let out = replay_memory_observed(&t, p, &hosts, &cfg, Some(profile.sink())).unwrap();
+        let out = replay(Sources::memory(&t), p, &hosts, &cfg, Some(profile.sink())).unwrap();
         let recs = out.records.unwrap();
         let report = profile.snapshot();
         prop_assert_eq!(report.total_ops, recs.len() as u64);
@@ -236,7 +233,7 @@ proptest! {
         let t = eager_ring(n, iters, flops, 1024.0);
         let (p, hosts) = mycluster(n);
         let tl = Timeline::new(SharedBuf::new(), n, TimelineFormat::Csv, tags::name).unwrap();
-        replay_memory_observed(&t, p, &hosts, &ReplayConfig::default(), Some(tl.sink()))
+        replay(Sources::memory(&t), p, &hosts, &ReplayConfig::default(), Some(tl.sink()))
             .unwrap();
         let summary = tl.finish().unwrap();
         prop_assert!(summary.monotone);

@@ -9,7 +9,7 @@
 
 use titr::platform::deployment::Deployment;
 use titr::platform::desc::{ClusterSpec, ClusterTopology, PlatformDesc};
-use titr::replay::{replay_memory, ReplayConfig};
+use titr::replay::{replay, ReplayConfig, Sources};
 
 fn main() {
     // The MPI code of Figure 1 (left), as a program model.
@@ -48,7 +48,8 @@ fn main() {
     // Replay.
     let platform = desc.build();
     let hosts = deployment.host_ids(&platform);
-    let out = replay_memory(&trace, platform, &hosts, &ReplayConfig::default()).expect("replay");
+    let sources = Sources::memory(&trace);
+    let out = replay(sources, platform, &hosts, &ReplayConfig::default(), None).expect("replay");
     println!("\nsimulated execution time: {:.6} s", out.simulated_time);
     println!("actions replayed:         {}", out.actions_replayed);
 }

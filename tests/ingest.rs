@@ -164,8 +164,9 @@ fn compact_fast_path_replays_identically_to_streaming() {
     let cfg = titr::replay::ReplayConfig::default();
     let mk = || PlatformDesc::single(presets::bordereau_one_core(n)).build();
     let streaming = titr::replay::replay_files(&dir, n, mk(), &hosts, &cfg).unwrap();
-    let fast =
-        titr::replay::replay_files_jobs(&dir, n, 0, mk(), &hosts, &cfg, None).unwrap();
+    let compact = std::sync::Arc::new(titr::trace::load_compact_exact(&dir, n, 0).unwrap());
+    let fast = titr::replay::replay(titr::replay::Sources::compact(&compact), mk(), &hosts, &cfg, None)
+        .unwrap();
     assert_eq!(streaming.simulated_time, fast.simulated_time);
     assert_eq!(streaming.actions_replayed, fast.actions_replayed);
     std::fs::remove_dir_all(&dir).unwrap();

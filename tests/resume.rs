@@ -12,9 +12,10 @@ use titr::obs::{Profile, SharedBuf, Timeline, TimelineFormat};
 use titr::platform::desc::PlatformDesc;
 use titr::platform::presets;
 use titr::replay::{
-    replay_files_checkpointed, replay_files_observed, resume_files, tags, CheckpointPolicy,
-    CheckpointedStatus, ReplayConfig,
+    replay, run_checkpointed, tags, CheckpointPolicy, CheckpointedStatus, ReplayCheckpoint,
+    ReplayConfig, Sources,
 };
+use titr::simkern::KernelMode;
 use titr::simkern::observer::{Fanout, Observer};
 use titr::simkern::resource::HostId;
 use titr::trace::{Action, TiTrace};
@@ -90,8 +91,9 @@ proptest! {
         let ref_profile = Profile::new(nproc, tags::name, tags::is_comm);
         let (ref_buf, ref_tl, extra) = observers(nproc, &ref_profile);
         let (platform, hosts) = platform_hosts(nproc);
-        let reference = replay_files_observed(&dir, nproc, platform, &hosts, &cfg, Some(extra))
-            .expect("reference replay");
+        let reference =
+            replay(Sources::files(&dir, nproc).unwrap(), platform, &hosts, &cfg, Some(extra))
+                .expect("reference replay");
         ref_tl.finish().unwrap();
         let ref_csv = String::from_utf8(ref_buf.contents()).unwrap();
         let ref_profile_json = ref_profile.snapshot().to_json();
@@ -114,11 +116,16 @@ proptest! {
         let final_time = loop {
             let (buf, tl, extra) = observers(nproc, &profile);
             let (platform, hosts) = platform_hosts(nproc);
-            let out = if segments == 0 {
-                replay_files_checkpointed(&dir, nproc, platform, &hosts, &cfg, Some(extra), &policy)
-            } else {
-                resume_files(&dir, nproc, platform, &hosts, &cfg, Some(extra), &ck, Some(&policy))
-            }
+            let resume = (segments > 0).then(|| ReplayCheckpoint::load(&ck).unwrap());
+            let out = run_checkpointed(
+                Sources::files(&dir, nproc).unwrap(),
+                platform,
+                &hosts,
+                &cfg,
+                Some(extra),
+                Some(&policy),
+                resume.as_ref(),
+            )
             .expect("checkpointed segment");
             tl.finish().unwrap();
             let csv = String::from_utf8(buf.contents()).unwrap();
@@ -136,6 +143,69 @@ proptest! {
         prop_assert_eq!(&profile.snapshot().to_json(), &ref_profile_json);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A checkpoint taken under the incremental kernel resumes under the
+/// reference kernel (the oracle) to the bit-identical simulated time of
+/// an uninterrupted run: the snapshot is kernel-mode portable, and the
+/// checkpointed driver honours `cfg.kernel` like every other driver.
+#[test]
+fn incremental_checkpoint_resumes_under_the_reference_kernel() {
+    let nproc = 4;
+    let ops: Vec<(usize, usize, u32, bool)> =
+        (0..40).map(|i| (i % 4, (i * 3 + 1) % 4, 500 + 37 * i as u32, i % 3 == 0)).collect();
+    let trace = balanced_trace(nproc, &ops);
+    let dir = std::env::temp_dir().join(format!("titr-resume-kernel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    trace.save_per_process(&dir).unwrap();
+    let incremental = ReplayConfig { kernel: KernelMode::Incremental, ..ReplayConfig::default() };
+    let reference = ReplayConfig { kernel: KernelMode::Reference, ..ReplayConfig::default() };
+
+    let (platform, hosts) = platform_hosts(nproc);
+    let whole = replay(Sources::files(&dir, nproc).unwrap(), platform, &hosts, &incremental, None)
+        .expect("uninterrupted replay");
+
+    let ck = dir.join("ck.tick");
+    let policy = CheckpointPolicy {
+        path: ck.clone(),
+        every_actions: 25,
+        max_wall: tit_core::Budget::unlimited(),
+        stop_after_checkpoints: Some(1),
+    };
+    let (platform, hosts) = platform_hosts(nproc);
+    let first = run_checkpointed(
+        Sources::files(&dir, nproc).unwrap(),
+        platform,
+        &hosts,
+        &incremental,
+        None,
+        Some(&policy),
+        None,
+    )
+    .expect("checkpointed run");
+    assert!(matches!(first.status, CheckpointedStatus::Paused { .. }), "{:?}", first.status);
+
+    let (platform, hosts) = platform_hosts(nproc);
+    let resumed = run_checkpointed(
+        Sources::files(&dir, nproc).unwrap(),
+        platform,
+        &hosts,
+        &reference,
+        None,
+        None,
+        Some(&ReplayCheckpoint::load(&ck).unwrap()),
+    )
+    .expect("resume under the reference kernel");
+    assert!(resumed.resumed);
+    match resumed.status {
+        CheckpointedStatus::Finished { simulated_time } => {
+            assert_eq!(simulated_time.to_bits(), whole.simulated_time.to_bits());
+        }
+        other => panic!("resume must finish, got {other:?}"),
+    }
+    assert_eq!(resumed.actions_replayed, whole.actions_replayed);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A damaged input under `--degraded` semantics never beats the intact

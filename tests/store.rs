@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use titr::extract::faultinject::Injector;
 use titr::platform::desc::{ClusterSpec, ClusterTopology, PlatformDesc};
-use titr::replay::{replay_compact, replay_store, replay_store_degraded, ReplayConfig};
+use titr::replay::{replay, replay_store_degraded, ReplayConfig, Sources};
 use titr::simkern::resource::HostId;
 use titr::simkern::Platform;
 use titr::trace::tib2::{write_compact_atomic, Tib2Store};
@@ -78,12 +78,14 @@ fn budgeted_store_replay_is_bit_identical_to_resident_replay() {
     let cfg = ReplayConfig::default();
 
     let (p1, h1) = testbed(4);
-    let resident = replay_compact(&Arc::new(trace), p1, &h1, &cfg).unwrap();
+    let resident = replay(Sources::compact(&Arc::new(trace)), p1, &h1, &cfg, None).unwrap();
 
     let store = Arc::new(Tib2Store::open(&path).unwrap());
     let (p2, h2) = testbed(4);
     // ~8 decoded segments of headroom: the replay must page, not hold.
-    let out = replay_store(&store, Arc::new(MemBudget::new(8 * 1200)), p2, &h2, &cfg).unwrap();
+    let out =
+        replay(Sources::store(&store, Arc::new(MemBudget::new(8 * 1200))), p2, &h2, &cfg, None)
+            .unwrap();
 
     assert_eq!(resident.simulated_time.to_bits(), out.simulated_time.to_bits());
     assert_eq!(resident.actions_replayed, out.actions_replayed);
@@ -100,9 +102,8 @@ fn impossible_budget_is_a_typed_memory_error() {
     let path = write_store(&d, &trace, 128);
     let store = Arc::new(Tib2Store::open(&path).unwrap());
     let (p, h) = testbed(3);
-    let err =
-        replay_store(&store, Arc::new(MemBudget::new(64)), p, &h, &ReplayConfig::default())
-            .unwrap_err();
+    let sources = Sources::store(&store, Arc::new(MemBudget::new(64)));
+    let err = replay(sources, p, &h, &ReplayConfig::default(), None).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("memory budget"), "typed budget refusal expected: {msg}");
     let _ = std::fs::remove_dir_all(&d);
@@ -182,8 +183,8 @@ proptest! {
                 let store = Arc::new(store);
                 let (p, h) = testbed(3);
                 let cfg = ReplayConfig::default();
-                let strict = replay_store(
-                    &store, Arc::new(MemBudget::unlimited()), p, &h, &cfg);
+                let strict = replay(
+                    Sources::store(&store, Arc::new(MemBudget::unlimited())), p, &h, &cfg, None);
                 let (p2, h2) = testbed(3);
                 let deg = replay_store_degraded(
                     &store, Arc::new(MemBudget::unlimited()), p2, &h2, &cfg, None);

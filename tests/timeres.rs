@@ -27,7 +27,7 @@ use titr::npb::{program_trace, Class, LuConfig};
 use titr::obs::{Profile, ProfileReport, TimeResReport, TimeResolved, WindowSpec};
 use titr::platform::desc::PlatformDesc;
 use titr::platform::presets;
-use titr::replay::{replay_memory_observed, tags, ReplayConfig};
+use titr::replay::{replay, tags, ReplayConfig, Sources};
 use titr::simkern::observer::Fanout;
 use titr::simkern::resource::HostId;
 use titr::trace::{Action, TiTrace};
@@ -42,7 +42,7 @@ fn replay_with(trace: &TiTrace, spec: WindowSpec) -> (ProfileReport, TimeResRepo
     let tr = TimeResolved::new(Some(Vec::new()), np, spec, tags::is_comm, tags::is_collective)
         .expect("Vec<u8> writer cannot fail");
     let fan = Fanout::new().with(prof.sink()).with(tr.sink());
-    replay_memory_observed(trace, platform, &hosts, &ReplayConfig::default(), Some(Box::new(fan)))
+    replay(Sources::memory(trace), platform, &hosts, &ReplayConfig::default(), Some(Box::new(fan)))
         .expect("replay of a well-formed test trace");
     let report = tr.finish().expect("Vec<u8> writer cannot fail");
     let csv = String::from_utf8(tr.into_writer().expect("all sinks dropped after the run"))
