@@ -2,20 +2,19 @@
 //! per-rank trace files.
 //!
 //! The paper's Section 6.5 replay starts by reading 1024 per-rank trace
-//! files; before PR 4 every loader was single-threaded. This experiment
-//! times `TiTrace::load_per_process` (the serial oracle) against
-//! `tit_core::ingest::load_per_process_jobs` (scoped worker threads, one
-//! per CPU) on the same directories, verifies the results are identical
-//! — the benchmark doubles as a differential test — and reports the
-//! speedup. On a single-core machine the parallel path delegates to the
-//! serial one and the speedup is 1.0 by construction; the interesting
-//! numbers come from multi-core CI runners.
+//! files. This experiment times `tit_core::load_exact` with one worker
+//! (the serial oracle) against the same loader with one worker per CPU
+//! on the same directories, verifies the results are identical — the
+//! benchmark doubles as a differential test — and reports the speedup.
+//! On a single-core machine both runs are serial and the speedup is 1.0
+//! by construction; the interesting numbers come from multi-core CI
+//! runners.
 
 use crate::perf::IngestRecord;
 use crate::table::Table;
 use npb::Class;
 use std::path::Path;
-use tit_core::{ingest, TiTrace};
+use tit_core::{ingest, load_exact};
 
 /// Load repetitions per path; the best (minimum) wall time is kept, the
 /// usual way to suppress first-touch and page-cache noise.
@@ -42,11 +41,11 @@ pub fn measure_dir(label: &str, dir: &Path, nproc: usize) -> IngestRecord {
     for _ in 0..REPEATS {
         let t0 = std::time::Instant::now();
         // panics: benchmark inputs are generated, so failure is a bench bug
-        let s = TiTrace::load_per_process(dir).expect("serial load of a generated trace");
+        let s = load_exact(dir, nproc, 1).expect("serial load of a generated trace");
         serial_wall = serial_wall.min(t0.elapsed().as_secs_f64());
         let t0 = std::time::Instant::now();
         // panics: benchmark inputs are generated, so failure is a bench bug
-        let p = ingest::load_per_process_jobs(dir, 0).expect("parallel load of a generated trace");
+        let p = load_exact(dir, nproc, 0).expect("parallel load of a generated trace");
         parallel_wall = parallel_wall.min(t0.elapsed().as_secs_f64());
         serial = Some(s);
         parallel = Some(p);
@@ -125,7 +124,7 @@ mod tests {
     fn measure_checks_equivalence_and_fills_every_field() {
         let dir = std::env::temp_dir().join(format!("titr-bing-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut t = TiTrace::new(3);
+        let mut t = tit_core::TiTrace::new(3);
         for r in 0..3usize {
             for _ in 0..100 {
                 t.push(r, tit_core::Action::Compute { flops: 1e6 });

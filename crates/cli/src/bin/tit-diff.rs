@@ -6,13 +6,15 @@
 //! tit-diff --a DIR_A --b DIR_B [--coalesce] [--tolerance REL]
 //! ```
 //!
-//! `--coalesce` merges adjacent compute bursts on both sides first;
+//! Each side's rank count is the number of consecutive
+//! `SG_process<N>.trace` files from rank 0. `--coalesce` merges
+//! adjacent compute bursts on both sides first;
 //! `--tolerance` allows a relative difference on compute volumes (PAPI
 //! counter jitter; the paper observes <1 % effects).
 
 use std::path::PathBuf;
-use tit_cli::Args;
-use tit_core::{Action, TiTrace};
+use tit_cli::{load_trace_dir, Args};
+use tit_core::{rank_file_count, Action};
 
 const USAGE: &str = "tit-diff --a DIR --b DIR [--coalesce] [--tolerance REL]";
 
@@ -38,7 +40,7 @@ fn main() {
     let tol: f64 = args.get_or("tolerance", 0.0);
 
     let load = |p: &PathBuf| {
-        TiTrace::load_per_process(p).unwrap_or_else(|e| {
+        load_trace_dir(p, rank_file_count(p)).unwrap_or_else(|e| {
             eprintln!("cannot load {}: {e}", p.display());
             std::process::exit(1);
         })

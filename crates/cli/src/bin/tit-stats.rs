@@ -1,20 +1,21 @@
 //! Trace statistics and validation (the columns of Table 3).
 //!
 //! ```text
-//! tit-stats --trace-dir DIR --np N [--validate] [--compress]
+//! tit-stats --trace-dir DIR [--np N] [--validate] [--compress]
 //! tit-stats --trace FILE [--validate] [--compress]
 //! ```
 
 use std::path::PathBuf;
-use tit_cli::Args;
-use tit_core::{validate, TiTrace, TraceStats};
+use tit_cli::{load_trace_dir, Args};
+use tit_core::{rank_file_count, validate, TiTrace, TraceStats};
 
-const USAGE: &str = "tit-stats (--trace-dir DIR --np N | --trace FILE) [--validate] [--compress]";
+const USAGE: &str = "tit-stats (--trace-dir DIR [--np N] | --trace FILE) [--validate] [--compress]";
 
 fn main() {
     let args = Args::from_env();
     let trace = if let Some(dir) = args.get("trace-dir") {
-        TiTrace::load_per_process(&PathBuf::from(dir)).unwrap_or_else(|e| {
+        let dir = PathBuf::from(dir);
+        load_trace_dir(&dir, args.get_or("np", rank_file_count(&dir))).unwrap_or_else(|e| {
             eprintln!("cannot load traces: {e}");
             std::process::exit(1);
         })

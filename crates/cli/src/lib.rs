@@ -96,6 +96,15 @@ impl Args {
     }
 }
 
+/// Loads ranks `0..np` of a trace directory (`tit-stats`, `tit-diff`);
+/// every rank file must exist and hold only its own pid's lines.
+pub fn load_trace_dir(dir: &std::path::Path, np: usize) -> Result<tit_core::TiTrace, String> {
+    if np == 0 {
+        return Err(format!("no SG_process0.trace in {}", dir.display()));
+    }
+    tit_core::load_exact(dir, np, 0).map_err(|e| e.to_string())
+}
+
 /// Parses a Table 2 mode label (`R`, `F-8`, `S-2`, `SF-2,8` or
 /// `SF-(2,8)`).
 pub fn parse_mode(s: &str) -> Result<mpi_emul::AcquisitionMode, String> {

@@ -475,3 +475,60 @@ fn acquire_rejects_unknown_mode() {
     assert!(!ok);
     assert!(text.contains("unknown acquisition mode"), "{text}");
 }
+
+/// A rank file whose second line claims pid 900000000 (a "pid bomb")
+/// fails every tool closed with a one-line diagnostic naming the rank,
+/// the file and the line; nothing is sized by the claimed pid. The
+/// degraded replay trims the rank instead and reports a partial result.
+#[test]
+fn pid_bomb_fails_closed_in_every_tool() {
+    let ring4 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/traces/ring4");
+    let dir = std::env::temp_dir().join(format!("titr-clibomb-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for r in 0..4 {
+        let name = format!("SG_process{r}.trace");
+        std::fs::copy(ring4.join(&name), dir.join(&name)).unwrap();
+    }
+    std::fs::write(dir.join("SG_process1.trace"), "p1 compute 1000000\np900000000 compute 1e6\n")
+        .unwrap();
+    let d = dir.to_str().unwrap();
+    let replay = env!("CARGO_BIN_EXE_tit-replay");
+    let stats = env!("CARGO_BIN_EXE_tit-stats");
+    for (tool, args) in [
+        (env!("CARGO_BIN_EXE_tit-analyze"), vec!["--trace-dir", d, "--np", "4"]),
+        (replay, vec!["--trace-dir", d, "--np", "4", "--jobs", "2"]),
+        (replay, vec!["--trace-dir", d, "--np", "4"]),
+        (stats, vec!["--trace-dir", d]),
+        (stats, vec!["--trace-dir", d, "--np", "4"]),
+        (env!("CARGO_BIN_EXE_tit-diff"), vec!["--a", d, "--b", ring4.to_str().unwrap()]),
+    ] {
+        let (code, stderr) = run_code(tool, &args);
+        assert_eq!(code, Some(1), "{tool} {args:?} exits 1; stderr:\n{stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{tool}: one-line diagnostic:\n{stderr}");
+        for needle in ["rank 1", "SG_process1.trace", "line 2", "p900000000"] {
+            assert!(stderr.contains(needle), "{tool} {args:?} names {needle:?}:\n{stderr}");
+        }
+    }
+
+    // The merged layout bounds pids by the bytes read so far.
+    let merged = dir.join("merged.trace");
+    std::fs::write(&merged, "p0 compute 1e6\np900000000 compute 1e6\n").unwrap();
+    let (code, stderr) = run_code(stats, &["--trace", merged.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "stderr:\n{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("line 2") && stderr.contains("p900000000"), "{stderr}");
+
+    let out = Command::new(replay)
+        .args(["--trace-dir", d, "--np", "4", "--degraded"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(3), "degraded replay is partial:\n{text}");
+    assert!(
+        text.contains("degraded rank 1:  trimmed-tail (1 actions kept, 1 lines trimmed)"),
+        "{text}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -8,10 +8,11 @@
 //! extraction stage's `tau2ti`), then merge the per-rank results in
 //! deterministic rank order.
 //!
-//! The contract: [`load_per_process_jobs`] is **bit-for-bit identical**
-//! to the serial [`TiTrace::load_per_process`] — same trace, same error
-//! for the lowest failing rank — and `jobs <= 1` *is* the serial path,
-//! which stays the differential-test oracle.
+//! The contract: [`load_exact`] is **bit-for-bit identical** whatever
+//! the worker count — same trace, same error for the lowest failing
+//! rank — and `jobs = 1` is the serial differential-test oracle. Every
+//! rank file is read by [`RankReader`]; the first line it faults on is
+//! the rank's [`IngestError`].
 //!
 //! ```
 //! use tit_core::{ingest, Action, TiTrace};
@@ -24,15 +25,16 @@
 //! }
 //! t.save_per_process(&dir).unwrap();
 //!
-//! let parallel = ingest::load_per_process_jobs(&dir, 4).unwrap();
-//! let serial = TiTrace::load_per_process(&dir).unwrap(); // the oracle
+//! let n = ingest::rank_file_count(&dir);
+//! let parallel = ingest::load_exact(&dir, n, 4).unwrap();
+//! let serial = ingest::load_exact(&dir, n, 1).unwrap(); // the oracle
 //! assert_eq!(parallel, serial);
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 use crate::action::Action;
 use crate::compact::CompactTrace;
-use crate::trace::{process_trace_filename, TiTrace};
+use crate::trace::{process_trace_filename, RankReader, TiTrace};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,8 +51,8 @@ pub fn effective_jobs(jobs: usize) -> usize {
 }
 
 /// Counts the consecutive `SG_process<N>.trace` files present in `dir`
-/// starting at rank 0 — the rank-discovery rule of
-/// [`TiTrace::load_per_process`].
+/// starting at rank 0 — the rank-discovery rule for tools that take no
+/// `--np`.
 pub fn rank_file_count(dir: &Path) -> usize {
     let mut n = 0;
     while dir.join(process_trace_filename(n)).exists() {
@@ -106,38 +108,6 @@ where
     Ok(out)
 }
 
-/// Parallel [`TiTrace::load_per_process`]: loads the consecutive
-/// `SG_process<N>.trace` files of `dir` with up to `jobs` worker
-/// threads (`0` = one per CPU) and merges them in rank order.
-///
-/// Bit-for-bit identical to the serial loader, including its error
-/// behaviour (`jobs <= 1` *delegates* to it): a missing rank 0 is
-/// `NotFound`, a defective file yields the lowest failing rank's error.
-pub fn load_per_process_jobs(dir: &Path, jobs: usize) -> io::Result<TiTrace> {
-    if effective_jobs(jobs) <= 1 {
-        return TiTrace::load_per_process(dir);
-    }
-    let n = rank_file_count(dir);
-    if n == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("no SG_process0.trace in {}", dir.display()),
-        ));
-    }
-    let subs = for_each_rank(n, jobs, |rank| {
-        TiTrace::load_merged(&dir.join(process_trace_filename(rank)))
-    })?;
-    let mut t = TiTrace::default();
-    for sub in subs {
-        for (pid, actions) in sub.actions.into_iter().enumerate() {
-            for a in actions {
-                t.push(pid, a);
-            }
-        }
-    }
-    Ok(t)
-}
-
 /// A failure of an exact-width load, naming the rank it happened on.
 #[derive(Debug)]
 pub struct IngestError {
@@ -162,24 +132,16 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// Loads one clean rank file: every line must carry the file's own pid
-/// (the same rule the replayer's streaming `FileSource` enforces).
+/// Loads one clean rank file: the first faulty line (unreadable,
+/// malformed, or carrying another pid) fails the rank.
 fn load_rank_exact(dir: &Path, rank: usize) -> Result<Vec<Action>, IngestError> {
-    let path = dir.join(process_trace_filename(rank));
-    let fail = |source: io::Error| IngestError { rank, path: path.clone(), source };
-    let sub = TiTrace::load_merged(&path).map_err(fail)?;
-    let mut own = Vec::new();
-    for (pid, actions) in sub.actions.into_iter().enumerate() {
-        if pid == rank {
-            own = actions;
-        } else if !actions.is_empty() {
-            return Err(fail(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace line for p{pid} in p{rank}'s file"),
-            )));
-        }
-    }
-    Ok(own)
+    let fail = |source| IngestError { rank, path: dir.join(process_trace_filename(rank)), source };
+    RankReader::open(dir, rank)
+        .map_err(fail)?
+        .map(|(line, item)| {
+            item.map_err(|fault| fail(io::Error::new(io::ErrorKind::InvalidData, fault.at(line))))
+        })
+        .collect()
 }
 
 /// Loads exactly ranks `0..nproc` (the replay tool's `--np` contract)
@@ -241,22 +203,12 @@ mod tests {
         let dir = tmp("eq");
         let t = ring(8, 50);
         t.save_per_process(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
+        let serial = load_exact(&dir, 8, 1).unwrap();
+        assert_eq!(serial, t);
         for jobs in [0, 2, 3, 8, 64] {
-            let parallel = load_per_process_jobs(&dir, jobs).unwrap();
+            let parallel = load_exact(&dir, 8, jobs).unwrap();
             assert_eq!(parallel, serial, "jobs={jobs}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_rank0_matches_serial_error() {
-        let dir = tmp("none");
-        std::fs::create_dir_all(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap_err();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap_err();
-        assert_eq!(serial.kind(), parallel.kind());
-        assert_eq!(serial.to_string(), parallel.to_string());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -267,9 +219,9 @@ mod tests {
         // Corrupt two ranks; the serial loader stops at the lower one.
         std::fs::write(dir.join(process_trace_filename(2)), "p2 frobnicate 1\n").unwrap();
         std::fs::write(dir.join(process_trace_filename(5)), "p5 bogus\n").unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap_err();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap_err();
-        assert_eq!(serial.kind(), parallel.kind());
+        let serial = load_exact(&dir, 6, 1).unwrap_err();
+        let parallel = load_exact(&dir, 6, 4).unwrap_err();
+        assert_eq!((serial.rank, parallel.rank), (2, 2));
         assert_eq!(serial.to_string(), parallel.to_string());
         assert!(serial.to_string().contains("frobnicate"), "{serial}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -280,10 +232,10 @@ mod tests {
         let dir = tmp("gap");
         ring(6, 2).save_per_process(&dir).unwrap();
         std::fs::remove_file(dir.join(process_trace_filename(3))).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
-        let parallel = load_per_process_jobs(&dir, 4).unwrap();
-        assert_eq!(parallel, serial);
         assert_eq!(rank_file_count(&dir), 3);
+        let parallel = load_exact(&dir, rank_file_count(&dir), 4).unwrap();
+        assert_eq!(parallel, load_exact(&dir, 3, 1).unwrap());
+        assert_eq!(parallel.num_processes(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -306,11 +258,32 @@ mod tests {
     fn load_exact_rejects_foreign_pids() {
         let dir = tmp("foreign");
         ring(2, 1).save_per_process(&dir).unwrap();
-        std::fs::write(dir.join(process_trace_filename(1)), "p0 wait\n").unwrap();
+        std::fs::write(dir.join(process_trace_filename(1)), "p1 wait\np0 wait\n").unwrap();
         let err = load_exact(&dir, 2, 2).unwrap_err();
         assert_eq!(err.rank, 1);
         assert_eq!(err.source.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("p0"), "{err}");
+        assert!(err.to_string().ends_with("line 2: belongs to p0, not p1"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pid_bombs_are_typed_errors_on_every_exact_loader() {
+        let dir = tmp("bomb");
+        ring(2, 1).save_per_process(&dir).unwrap();
+        std::fs::write(dir.join(process_trace_filename(1)), "p1 wait\np900000000 compute 1e6\n")
+            .unwrap();
+        let check = |err: IngestError| {
+            assert_eq!(err.rank, 1);
+            assert_eq!(err.source.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("SG_process1.trace"), "{err}");
+            assert!(err.to_string().contains("line 2"), "{err}");
+        };
+        check(load_exact(&dir, 2, 1).unwrap_err());
+        check(load_exact(&dir, 2, 2).unwrap_err());
+        check(load_compact_exact(&dir, 2, 2).unwrap_err());
+        let err = crate::tib2::convert_dir_atomic(&dir, 2, &dir.join("t.tib2"), 32, 2).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(!dir.join("t.tib2").exists(), "nothing committed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

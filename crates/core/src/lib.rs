@@ -18,7 +18,7 @@
 //!
 //! This crate provides the action vocabulary ([`Action`], Table 1 of the
 //! paper), parsing and serialisation ([`codec`]), whole-trace containers
-//! and streaming per-process readers/writers ([`trace`]), statistics
+//! and the streaming per-rank reader/writer ([`trace`]), statistics
 //! ([`stats`]), structural validation ([`validate()`]), the block
 //! compressor used for the paper's Section 6.5 compressed-size figure
 //! ([`compress`]), a struct-of-arrays interned form for the replay hot
@@ -59,10 +59,10 @@ pub use graph::{CycleError, Dag, DagBuilder, NodeId};
 pub use lru::Lru;
 pub use membudget::{MemBudget, MemoryExceeded};
 pub use tib2::{SegmentColumns, StoreError, Tib2Store, Tib2Writer};
-pub use ingest::{load_compact_exact, load_exact, load_per_process_jobs, IngestError};
+pub use ingest::{load_compact_exact, load_exact, rank_file_count, IngestError};
 pub use codec::{format_action, parse_line, ParseError};
 pub use stats::TraceStats;
-pub use trace::{ProcessTraceReader, ProcessTraceWriter, TiTrace};
+pub use trace::{LineFault, ProcessTraceWriter, RankReader, TiTrace};
 pub use validate::{
     collective_sequences, match_p2p, validate, MatchedPair, P2pEndpoint, P2pMatching,
     ValidationError,

@@ -2,8 +2,7 @@
 //!
 //! Table 3 of the paper reports, per benchmark instance, the
 //! time-independent trace size in MiB and the number of actions in
-//! millions; this module computes both (and more) from in-memory traces or
-//! trace files.
+//! millions; this module computes both (and more) from in-memory traces.
 
 use crate::action::Action;
 use crate::codec::format_action_into;
@@ -26,9 +25,8 @@ pub struct TraceStats {
     pub total_bytes: f64,
     /// Receive-side volume, bytes, summed over receives that carry a
     /// byte annotation. In a complete trace every transfer is counted
-    /// once in [`TraceStats::total_bytes`]; when only a subset of ranks
-    /// is streamed (per-rank statistics), this is the only visibility
-    /// into inbound traffic.
+    /// once in [`TraceStats::total_bytes`]; for a subset of ranks this
+    /// is the only visibility into inbound traffic.
     pub recv_bytes: f64,
     /// Receives whose byte volume is unknown (no annotation in the
     /// trace; only the matching send carries the size). Previously these
@@ -51,24 +49,6 @@ impl TraceStats {
         s
     }
 
-    /// Streams statistics from trace files without loading them.
-    pub fn of_files(paths: &[std::path::PathBuf]) -> std::io::Result<Self> {
-        let mut s = TraceStats::default();
-        let mut line = String::with_capacity(64);
-        let mut max_pid = 0usize;
-        let mut any = false;
-        for p in paths {
-            let mut r = crate::trace::ProcessTraceReader::open(p)?;
-            while let Some((pid, a)) = r.next_action()? {
-                any = true;
-                max_pid = max_pid.max(pid);
-                s.add(pid, &a, &mut line);
-            }
-        }
-        s.num_processes = if any { max_pid + 1 } else { 0 };
-        Ok(s)
-    }
-
     fn add(&mut self, rank: usize, a: &Action, scratch: &mut String) {
         self.num_actions += 1;
         *self.per_keyword.entry(a.keyword()).or_insert(0) += 1;
@@ -76,7 +56,7 @@ impl TraceStats {
         match a {
             // Count transfers once in `total_bytes`, on the sender side;
             // account the receive side separately so a partial trace
-            // (per-rank streaming) does not lose inbound volume, and so
+            // (a subset of ranks) does not lose inbound volume, and so
             // unknown receive volumes are counted, not zeroed.
             Action::Recv { .. } | Action::Irecv { .. } => match a.comm_bytes() {
                 Some(b) => self.recv_bytes += b,
@@ -156,17 +136,6 @@ mod tests {
         let mut buf = Vec::new();
         t.write_merged(&mut buf).unwrap();
         assert_eq!(s.encoded_bytes, buf.len() as u64);
-    }
-
-    #[test]
-    fn stream_and_memory_agree() {
-        let t = sample();
-        let dir = std::env::temp_dir().join(format!("titr-stats-{}", std::process::id()));
-        let paths = t.save_per_process(&dir).unwrap();
-        let s1 = TraceStats::of(&t);
-        let s2 = TraceStats::of_files(&paths).unwrap();
-        assert_eq!(s1, s2);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

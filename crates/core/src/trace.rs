@@ -50,16 +50,26 @@ impl TiTrace {
     }
 
     /// Parses a merged trace (one file, lines of all processes).
+    ///
+    /// A line whose pid would grow the process set past the number of
+    /// input bytes read so far (including that line) is rejected with a
+    /// [`ParseError`] naming the line, so allocation stays `O(input)`
+    /// whatever pid a damaged line claims.
     pub fn from_reader<R: BufRead>(r: R) -> Result<Self, ParseError> {
+        let mut lines = RankReader::new(r, 0);
         let mut t = TiTrace::default();
-        for (i, line) in r.lines().enumerate() {
-            let line = line.map_err(|e| ParseError {
-                line: i + 1,
-                message: format!("io error: {e}"),
-            })?;
-            if let Some((pid, a)) = parse_line(&line, i + 1)? {
-                t.push(pid, a);
+        while let Some((line, item)) = lines.next_line() {
+            let (pid, a) = item.map_err(|fault| fault.at(line))?;
+            if pid >= lines.bytes {
+                return Err(ParseError {
+                    line,
+                    message: format!(
+                        "process id p{pid} exceeds the {} input bytes read so far",
+                        lines.bytes
+                    ),
+                });
             }
+            t.push(pid, a);
         }
         Ok(t)
     }
@@ -74,33 +84,6 @@ impl TiTrace {
         let f = File::open(path)?;
         Self::from_reader(BufReader::with_capacity(1 << 20, f))
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Loads per-process trace files `SG_process*.trace` from `dir`,
-    /// stopping at the first missing rank.
-    pub fn load_per_process(dir: &Path) -> std::io::Result<Self> {
-        let mut t = TiTrace::default();
-        let mut rank = 0;
-        loop {
-            let path = dir.join(process_trace_filename(rank));
-            if !path.exists() {
-                break;
-            }
-            let sub = Self::load_merged(&path)?;
-            for (pid, actions) in sub.actions.into_iter().enumerate() {
-                for a in actions {
-                    t.push(pid, a);
-                }
-            }
-            rank += 1;
-        }
-        if rank == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no SG_process0.trace in {}", dir.display()),
-            ));
-        }
-        Ok(t)
     }
 
     /// Writes the merged single-file layout.
@@ -211,40 +194,142 @@ impl ProcessTraceWriter {
     }
 }
 
-/// Streaming reader over one process's trace file.
-pub struct ProcessTraceReader {
-    r: BufReader<File>,
-    line: String,
-    line_no: usize,
+/// What is wrong with one line of a per-rank trace file, as
+/// [`RankReader`] reports it next to the line number.
+#[derive(Debug)]
+pub enum LineFault {
+    /// Reading failed; the reader yields nothing after this.
+    Unreadable(std::io::Error),
+    /// The line's bytes are not UTF-8.
+    NotUtf8,
+    /// The line is not a well-formed action (the parse error's message).
+    Parse(String),
+    /// The line is well formed but names another process than the
+    /// file's own.
+    ForeignPid {
+        /// The pid the line claims.
+        pid: Pid,
+        /// The rank whose file it is in.
+        rank: Pid,
+    },
 }
 
-impl ProcessTraceReader {
-    /// Opens `path` (a per-process or merged trace file).
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        Ok(ProcessTraceReader {
-            r: BufReader::with_capacity(1 << 20, File::open(path)?),
-            line: String::with_capacity(64),
-            line_no: 0,
-        })
+impl LineFault {
+    /// The fault as a [`ParseError`] at `line`; unreadable bytes read as
+    /// `io error: …`.
+    pub fn at(self, line: usize) -> ParseError {
+        let message = match self {
+            LineFault::Parse(message) => message,
+            LineFault::ForeignPid { .. } => self.to_string(),
+            io => format!("io error: {}", io.into_io(line)),
+        };
+        ParseError { line, message }
     }
 
-    /// Reads the next `(pid, action)`; `Ok(None)` at end of file.
-    pub fn next_action(&mut self) -> std::io::Result<Option<(Pid, Action)>> {
-        loop {
-            self.line.clear();
-            let n = self.r.read_line(&mut self.line)?;
-            if n == 0 {
-                return Ok(None);
+    /// The error a line-by-line read of the file reports for the fault
+    /// at `line`: the I/O failure itself, `InvalidData` with std's
+    /// UTF-8 message, or `InvalidData` wrapping [`LineFault::at`].
+    pub fn into_io(self, line: usize) -> std::io::Error {
+        use std::io::{Error, ErrorKind};
+        match self {
+            LineFault::Unreadable(e) => e,
+            LineFault::NotUtf8 => {
+                Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
             }
-            self.line_no += 1;
-            match parse_line(&self.line, self.line_no) {
-                Ok(Some(pa)) => return Ok(Some(pa)),
-                Ok(None) => {} // comment or blank line: read on
+            f => Error::new(ErrorKind::InvalidData, f.at(line)),
+        }
+    }
+}
+
+impl std::fmt::Display for LineFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LineFault::Unreadable(e) => write!(f, "{e}"),
+            LineFault::NotUtf8 => f.write_str("not valid UTF-8"),
+            LineFault::Parse(message) => f.write_str(message),
+            LineFault::ForeignPid { pid, rank } => write!(f, "belongs to p{pid}, not p{rank}"),
+        }
+    }
+}
+
+/// A 1-based line number with what that line holds.
+type Numbered<T> = (usize, Result<T, LineFault>);
+
+/// Streaming reader over one per-rank trace file
+/// (`SG_process<rank>.trace`): the one place a line of such a file is
+/// given meaning.
+///
+/// For each non-blank, non-comment line it yields the 1-based line
+/// number with the action or a typed [`LineFault`]. It keeps going
+/// after a fault (only an I/O failure ends the stream), reuses one line
+/// buffer, and never indexes anything by the pid a line claims — so a
+/// damaged file costs at most its own size, whatever it says.
+pub struct RankReader<R = BufReader<File>> {
+    r: R,
+    rank: Pid,
+    buf: Vec<u8>,
+    line: usize,
+    bytes: usize,
+    done: bool,
+}
+
+impl RankReader {
+    /// Opens `dir/SG_process<rank>.trace`.
+    pub fn open(dir: &Path, rank: Pid) -> std::io::Result<Self> {
+        let f = File::open(dir.join(process_trace_filename(rank)))?;
+        Ok(RankReader::new(BufReader::with_capacity(1 << 20, f), rank))
+    }
+}
+
+impl<R: BufRead> RankReader<R> {
+    /// Reads `rank`'s trace from `r`.
+    pub fn new(r: R, rank: Pid) -> Self {
+        RankReader { r, rank, buf: Vec::with_capacity(64), line: 0, bytes: 0, done: false }
+    }
+
+    /// The next action line with whatever pid it claims.
+    fn next_line(&mut self) -> Option<Numbered<(Pid, Action)>> {
+        while !self.done {
+            self.buf.clear();
+            self.line += 1;
+            let n = match self.r.read_until(b'\n', &mut self.buf) {
+                Ok(0) => break,
+                Ok(n) => n,
                 Err(e) => {
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+                    self.done = true;
+                    return Some((self.line, Err(LineFault::Unreadable(e))));
                 }
+            };
+            self.bytes += n;
+            let Ok(text) = std::str::from_utf8(&self.buf) else {
+                return Some((self.line, Err(LineFault::NotUtf8)));
+            };
+            match parse_line(text, self.line) {
+                Ok(None) => {} // comment or blank line: read on
+                Ok(Some(pa)) => return Some((self.line, Ok(pa))),
+                Err(e) => return Some((self.line, Err(LineFault::Parse(e.message)))),
             }
         }
+        self.done = true;
+        None
+    }
+}
+
+impl<R: BufRead> Iterator for RankReader<R> {
+    type Item = Numbered<Action>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (line, item) = self.next_line()?;
+        Some((
+            line,
+            item.and_then(|(pid, a)| {
+                if pid == self.rank {
+                    Ok(a)
+                } else {
+                    Err(LineFault::ForeignPid { pid, rank: self.rank })
+                }
+            }),
+        ))
     }
 }
 
@@ -294,7 +379,7 @@ mod tests {
         let paths = t.save_per_process(&dir).unwrap();
         assert_eq!(paths.len(), 4);
         assert!(paths[2].file_name().unwrap().to_str().unwrap() == "SG_process2.trace");
-        let t2 = TiTrace::load_per_process(&dir).unwrap();
+        let t2 = crate::load_exact(&dir, 4, 1).unwrap();
         assert_eq!(t, t2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -315,13 +400,8 @@ mod tests {
         }
         assert_eq!(w.actions_written(), 4);
         w.finish().unwrap();
-        let mut r =
-            ProcessTraceReader::open(&dir.join(process_trace_filename(3))).unwrap();
-        let mut got = Vec::new();
-        while let Some((pid, a)) = r.next_action().unwrap() {
-            assert_eq!(pid, 3);
-            got.push(a);
-        }
+        let got: Vec<Action> =
+            RankReader::open(&dir, 3).unwrap().map(|(_, item)| item.unwrap()).collect();
         assert_eq!(got, actions);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -356,6 +436,100 @@ mod tests {
     #[test]
     fn load_missing_dir_errors() {
         let dir = std::env::temp_dir().join("titr-definitely-missing-xyz");
-        assert!(TiTrace::load_per_process(&dir).is_err());
+        assert!(RankReader::open(&dir, 0).is_err());
+    }
+
+    fn read_all(text: &[u8], rank: Pid) -> Vec<(usize, Result<Action, LineFault>)> {
+        RankReader::new(text, rank).collect()
+    }
+
+    #[test]
+    fn rank_reader_types_every_fault_and_keeps_going() {
+        let text = b"# header\np1 compute 10\n\np1 fly 3\np1 c\xf6mpute 1\np0 wait\np1 wait\n";
+        let items = read_all(text, 1);
+        let lines: Vec<usize> = items.iter().map(|(line, _)| *line).collect();
+        assert_eq!(lines, [2, 4, 5, 6, 7], "comments and blank lines yield nothing");
+        let mut items = items.into_iter();
+        assert_eq!(items.next().unwrap().1.unwrap(), Action::Compute { flops: 10.0 });
+        let parse = items.next().unwrap().1.unwrap_err();
+        assert!(matches!(&parse, LineFault::Parse(m) if m.contains("fly")), "{parse}");
+        assert!(matches!(items.next().unwrap().1, Err(LineFault::NotUtf8)));
+        let foreign = items.next().unwrap().1.unwrap_err();
+        assert_eq!(foreign.to_string(), "belongs to p0, not p1");
+        assert_eq!(items.next().unwrap().1.unwrap(), Action::Wait);
+        assert_eq!(
+            foreign.into_io(6).to_string(),
+            "trace parse error at line 6: belongs to p0, not p1"
+        );
+        assert_eq!(
+            LineFault::NotUtf8.at(5).to_string(),
+            "trace parse error at line 5: io error: stream did not contain valid UTF-8"
+        );
+    }
+
+    #[test]
+    fn rank_reader_rejects_a_pid_bomb_without_allocating_for_it() {
+        let items = read_all(b"p1 wait\np900000000 compute 1e6\np18446744073709551615 wait\n", 1);
+        assert!(items[0].1.is_ok());
+        assert!(matches!(items[1], (2, Err(LineFault::ForeignPid { pid: 900000000, rank: 1 }))));
+        assert!(matches!(items[2].1, Err(LineFault::ForeignPid { pid: usize::MAX, .. })));
+    }
+
+    #[test]
+    fn merged_parser_bounds_pids_by_input_size() {
+        for text in ["p0 wait\np900000000 compute 1e6\n", "p18446744073709551615 wait\n"] {
+            let e = TiTrace::from_str_merged(text).unwrap_err();
+            assert_eq!(e.line, text.lines().count(), "{e}");
+            assert!(e.message.contains("input bytes"), "{e}");
+        }
+        // A pid below the bytes read so far is a legitimate sparse trace.
+        let t = TiTrace::from_str_merged("p0 wait\np9 wait\n").unwrap();
+        assert_eq!(t.num_processes(), 10);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Trace-shaped garbage: real tokens, separators and raw bytes.
+    fn trace_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const PIECES: [&[u8]; 10] = [
+            b"p1 ", b"p0 ", b"compute 1e6", b"send p0 8", b"wait", b"\n", b"# c\n", b" ",
+            b"p900000000 ", b"18446744073709551616",
+        ];
+        proptest::collection::vec((0usize..14, any::<u8>()), 0..96).prop_map(|picks| {
+            let mut out = Vec::new();
+            for (i, byte) in picks {
+                match PIECES.get(i) {
+                    Some(piece) => out.extend_from_slice(piece),
+                    None => out.push(byte),
+                }
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn rank_reader_never_panics_and_yields_at_most_one_item_per_line(
+            data in trace_bytes(),
+            rank in 0usize..3
+        ) {
+            let lines = data.split(|&b| b == b'\n').count();
+            let items = RankReader::new(&data[..], rank).count();
+            prop_assert!(items <= lines, "{} items from {} lines", items, lines);
+            let _ = TiTrace::from_reader(&data[..]);
+        }
+
+        #[test]
+        fn rank_reader_survives_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..512)
+        ) {
+            let lines = data.split(|&b| b == b'\n').count();
+            prop_assert!(RankReader::new(&data[..], 0).count() <= lines);
+            let _ = TiTrace::from_reader(&data[..]);
+        }
     }
 }

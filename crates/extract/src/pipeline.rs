@@ -292,7 +292,7 @@ mod tests {
         assert!(res.costs.gathering > 0.0);
         assert!(res.bundle_path.exists());
         // The extracted trace replays: validate structurally.
-        let t = tit_core::TiTrace::load_per_process(&res.ti_dir).unwrap();
+        let t = tit_core::load_exact(&res.ti_dir, 4, 1).unwrap();
         assert!(tit_core::validate(&t).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -354,7 +354,7 @@ mod tests {
                 &dir,
             )
             .unwrap();
-            traces.push(tit_core::TiTrace::load_per_process(&res.ti_dir).unwrap());
+            traces.push(tit_core::load_exact(&res.ti_dir, 4, 1).unwrap());
             std::fs::remove_dir_all(&dir).unwrap();
         }
         for t in &traces[1..] {

@@ -341,7 +341,6 @@ mod tests {
     use mpi_emul::acquisition::{acquire, AcquisitionMode};
     use mpi_emul::runtime::EmulConfig;
     use npb::ring::RingConfig;
-    use tit_core::TiTrace;
 
     fn tmp(tagname: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("titr-x-{tagname}-{}", std::process::id()))
@@ -360,7 +359,7 @@ mod tests {
         acquire(&ring.program(), 4, AcquisitionMode::Regular, &exact_cfg(), &tau).unwrap();
         let stats = tau2ti(&tau, 4, &ti, 2).unwrap();
         assert_eq!(stats.actions_written, 12, "Figure 1 has 12 actions");
-        let got = TiTrace::load_per_process(&ti).unwrap();
+        let got = tit_core::load_exact(&ti, 4, 1).unwrap();
         let want = ring.trace();
         assert_eq!(got, want, "extracted trace must match the program's");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -387,7 +386,7 @@ mod tests {
         let ti = dir.join("ti");
         acquire(&prog, 3, AcquisitionMode::Regular, &exact_cfg(), &tau).unwrap();
         tau2ti(&tau, 3, &ti, 1).unwrap();
-        let got = TiTrace::load_per_process(&ti).unwrap();
+        let got = tit_core::load_exact(&ti, 3, 1).unwrap();
         let p0 = &got.actions[0];
         assert_eq!(p0[0], Action::Irecv { src: 1, bytes: None });
         assert_eq!(p0[1], Action::Irecv { src: 2, bytes: None });
@@ -414,7 +413,7 @@ mod tests {
         let ti = dir.join("ti");
         acquire(&prog, 4, AcquisitionMode::Regular, &exact_cfg(), &tau).unwrap();
         tau2ti(&tau, 4, &ti, 1).unwrap();
-        let got = TiTrace::load_per_process(&ti).unwrap();
+        let got = tit_core::load_exact(&ti, 4, 1).unwrap();
         for rank in 0..4 {
             let a = &got.actions[rank];
             assert_eq!(a[0], Action::CommSize { nproc: 4 }, "rank {rank}");
@@ -435,7 +434,7 @@ mod tests {
         let cfg = EmulConfig { papi_jitter: 5e-4, ..Default::default() };
         acquire(&ring.program(), 4, AcquisitionMode::Regular, &cfg, &tau).unwrap();
         tau2ti(&tau, 4, &ti, 1).unwrap();
-        let got = TiTrace::load_per_process(&ti).unwrap();
+        let got = tit_core::load_exact(&ti, 4, 1).unwrap();
         let want = ring.trace();
         for (ga, wa) in got.actions.iter().flatten().zip(want.actions.iter().flatten()) {
             match (ga, wa) {

@@ -11,10 +11,8 @@
 //! corruption the acquisition pipeline can suffer surfaces as a lint.
 
 use crate::finding::{Finding, LintCode, Location};
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
-use tit_core::codec::parse_line;
-use tit_core::trace::process_trace_filename;
+use tit_core::trace::{process_trace_filename, LineFault, RankReader};
 use tit_core::TiTrace;
 
 /// Maps `(rank, action index)` back to the text source it came from.
@@ -95,73 +93,47 @@ fn load_rank_file(dir: &Path, rank: usize) -> RankLoad {
     let path = dir.join(process_trace_filename(rank));
     let mut out =
         RankLoad { path: path.clone(), opened: false, actions: Vec::new(), findings: Vec::new() };
-    let file = match std::fs::File::open(&path) {
-        Ok(f) => f,
+    let at = |line: Option<usize>| Location {
+        rank,
+        file: Some(path.display().to_string()),
+        line,
+        ..Location::default()
+    };
+    let reader = match RankReader::open(dir, rank) {
+        Ok(r) => r,
         Err(e) => {
             out.findings.push(Finding::new(
                 LintCode::MissingRankFile,
-                Location {
-                    rank,
-                    file: Some(path.display().to_string()),
-                    ..Location::default()
-                },
+                at(None),
                 format!("cannot open p{rank}'s trace: {e}"),
             ));
             return out;
         }
     };
     out.opened = true;
-    let reader = std::io::BufReader::with_capacity(1 << 20, file);
-    for (line_no, line) in reader.lines().enumerate() {
-        let line_no = line_no + 1;
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                out.findings.push(Finding::new(
-                    LintCode::ParseFailure,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
-                    format!("unreadable data: {e}"),
-                ));
-                break; // the stream is gone; keep what parsed
+    for (line, item) in reader {
+        let (code, message) = match item {
+            Ok(action) => {
+                out.actions.push((action, line));
+                continue;
+            }
+            // In the per-rank layout every line must carry the file's
+            // own rank; a contradicting pid means the file was damaged
+            // or mis-gathered, and trusting either side of the
+            // contradiction would mis-attribute the action.
+            Err(LineFault::ForeignPid { pid, .. }) => (
+                LintCode::RankMismatch,
+                format!("line declares p{pid} inside p{rank}'s trace file"),
+            ),
+            Err(LineFault::Parse(message)) => (LintCode::ParseFailure, message),
+            Err(fault) => {
+                // Unreadable data: the stream is gone; keep what parsed.
+                let message = format!("unreadable data: {}", fault.into_io(line));
+                out.findings.push(Finding::new(LintCode::ParseFailure, at(Some(line)), message));
+                break;
             }
         };
-        match parse_line(&line, line_no) {
-            // In the per-rank layout every line must carry the
-            // file's own rank; a contradicting pid means the file
-            // was damaged or mis-gathered, and trusting either side
-            // of the contradiction would mis-attribute the action.
-            Ok(Some((pid, _))) if pid != rank => {
-                out.findings.push(Finding::new(
-                    LintCode::RankMismatch,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
-                    format!("line declares p{pid} inside p{rank}'s trace file"),
-                ));
-            }
-            Ok(Some((_, action))) => out.actions.push((action, line_no)),
-            Ok(None) => {}
-            Err(e) => {
-                out.findings.push(Finding::new(
-                    LintCode::ParseFailure,
-                    Location {
-                        rank,
-                        file: Some(path.display().to_string()),
-                        line: Some(line_no),
-                        ..Location::default()
-                    },
-                    e.message,
-                ));
-            }
-        }
+        out.findings.push(Finding::new(code, at(Some(line)), message));
     }
     out
 }

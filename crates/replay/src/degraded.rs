@@ -27,8 +27,8 @@ use simkern::observer::Observer;
 use simkern::resource::HostId;
 use simkern::Platform;
 use std::path::Path;
-use tit_core::trace::process_trace_filename;
-use tit_core::{parse_line, Action};
+use tit_core::trace::{process_trace_filename, LineFault, RankReader};
+use tit_core::Action;
 
 /// Why a rank's stream was degraded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,12 +123,13 @@ struct ScannedRank {
 }
 
 /// Reads `rank`'s trace file, keeping the longest parseable prefix.
-/// Damage (unreadable bytes, a parse error, a line owned by another
-/// pid) trims the stream at that point.
+/// The first faulty line (unreadable bytes, a parse error, a line owned
+/// by another pid) trims the stream there; it and every action line
+/// after it count as trimmed.
 fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
     let path = dir.join(process_trace_filename(rank));
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
+    let reader = match RankReader::open(dir, rank) {
+        Ok(r) => r,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(ScannedRank {
                 actions: Vec::new(),
@@ -146,31 +147,19 @@ fn scan_rank(dir: &Path, rank: usize) -> std::io::Result<ScannedRank> {
     let mut actions = Vec::new();
     let mut trim: Option<String> = None;
     let mut lines_trimmed = 0u64;
-    for (idx, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-        let line_no = idx + 1;
-        if trim.is_some() {
-            // Count the untrusted tail (non-empty payload lines only).
-            if !raw.iter().all(u8::is_ascii_whitespace) {
+    for (line, item) in reader {
+        match item {
+            Err(LineFault::Unreadable(e)) => return Err(e),
+            Ok(a) if trim.is_none() => actions.push(a),
+            Err(fault) if trim.is_none() => {
+                trim = Some(match fault {
+                    LineFault::Parse(_) => fault.at(line).to_string(),
+                    fault => format!("line {line}: {fault}"),
+                });
                 lines_trimmed += 1;
             }
-            continue;
-        }
-        let Ok(text) = std::str::from_utf8(raw) else {
-            trim = Some(format!("line {line_no}: not valid UTF-8"));
-            lines_trimmed += 1;
-            continue;
-        };
-        match parse_line(text, line_no) {
-            Ok(None) => {}
-            Ok(Some((pid, a))) if pid == rank => actions.push(a),
-            Ok(Some((pid, _))) => {
-                trim = Some(format!("line {line_no}: belongs to p{pid}, not p{rank}"));
-                lines_trimmed += 1;
-            }
-            Err(e) => {
-                trim = Some(e.to_string());
-                lines_trimmed += 1;
-            }
+            // The untrusted tail.
+            _ => lines_trimmed += 1,
         }
     }
     let degradation = trim.map(|detail| RankDegradation {

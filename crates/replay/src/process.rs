@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::path::Path;
 use tit_core::checkpoint::{Dec, Enc};
-use tit_core::trace::{process_trace_filename, ProcessTraceReader};
+use tit_core::trace::{process_trace_filename, RankReader};
 use tit_core::{Action, CompactTrace, MemBudget, TiTrace, Tib2Store};
 
 /// Supplies the action stream of one process.
@@ -72,47 +72,32 @@ impl ActionSource for CompactSource {
     }
 }
 
-/// Streaming per-process trace file (`SG_process<N>.trace`).
+/// Streaming per-process trace file (`SG_process<N>.trace`), read by
+/// [`RankReader`]: the first faulty line ends the stream with an error
+/// naming the file and line.
 pub struct FileSource {
-    reader: ProcessTraceReader,
-    rank: usize,
+    reader: RankReader,
     path: std::path::PathBuf,
 }
 
 impl FileSource {
-    /// Opens `path`; every line must belong to `rank`.
-    pub fn open(path: &std::path::Path, rank: usize) -> std::io::Result<Self> {
+    /// Opens `rank`'s trace file in `dir`.
+    pub fn open(dir: &Path, rank: usize) -> std::io::Result<Self> {
         Ok(FileSource {
-            reader: ProcessTraceReader::open(path)?,
-            rank,
-            path: path.to_path_buf(),
+            reader: RankReader::open(dir, rank)?,
+            path: dir.join(process_trace_filename(rank)),
         })
-    }
-
-    /// Prefixes `e` with this source's file path, so a parse error
-    /// (which already carries the line number and offending token) also
-    /// names the file it came from.
-    fn with_path(&self, e: std::io::Error) -> std::io::Error {
-        std::io::Error::new(e.kind(), format!("{}: {e}", self.path.display()))
     }
 }
 
 impl ActionSource for FileSource {
     fn next_action(&mut self) -> std::io::Result<Option<Action>> {
-        match self.reader.next_action().map_err(|e| self.with_path(e))? {
+        match self.reader.next() {
             None => Ok(None),
-            Some((pid, a)) => {
-                if pid != self.rank {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: trace line for p{pid} in p{}'s file",
-                            self.path.display(),
-                            self.rank
-                        ),
-                    ));
-                }
-                Ok(Some(a))
+            Some((_, Ok(a))) => Ok(Some(a)),
+            Some((line, Err(fault))) => {
+                let e = fault.into_io(line);
+                Err(std::io::Error::new(e.kind(), format!("{}: {e}", self.path.display())))
             }
         }
     }
@@ -139,10 +124,13 @@ impl Sources {
     pub fn files(dir: &Path, nproc: usize) -> Result<Self, ReplayError> {
         let ranks = (0..nproc)
             .map(|rank| {
-                let path = dir.join(process_trace_filename(rank));
-                match FileSource::open(&path, rank) {
+                match FileSource::open(dir, rank) {
                     Ok(src) => Ok(Box::new(src) as Box<dyn ActionSource>),
-                    Err(source) => Err(ReplayError::MissingRank { rank, path, source }),
+                    Err(source) => Err(ReplayError::MissingRank {
+                        rank,
+                        path: dir.join(process_trace_filename(rank)),
+                        source,
+                    }),
                 }
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -485,10 +473,10 @@ mod tests {
     fn file_source_rejects_foreign_ranks() {
         let dir = std::env::temp_dir().join(format!("titr-fsrc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("SG_process0.trace");
-        std::fs::write(&path, "p1 wait\n").unwrap();
-        let mut s = FileSource::open(&path, 0).unwrap();
-        assert!(s.next_action().is_err());
+        std::fs::write(dir.join("SG_process0.trace"), "p1 wait\n").unwrap();
+        let mut s = FileSource::open(&dir, 0).unwrap();
+        let e = s.next_action().unwrap_err().to_string();
+        assert!(e.ends_with("SG_process0.trace: trace parse error at line 1: belongs to p1, not p0"), "{e}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -920,4 +920,49 @@ mod tests {
         }
         std::fs::remove_dir_all(&d).unwrap();
     }
+
+    /// A real mid-run `TICK1` payload (busy trace, paused after its
+    /// first checkpoint), built once for the decoder proptests.
+    fn sample_payload() -> &'static [u8] {
+        static PAYLOAD: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        PAYLOAD.get_or_init(|| {
+            let d = tmp_dir("fuzz");
+            busy_trace(2).save_per_process(&d).unwrap();
+            let (p, hosts) = mycluster(4);
+            let policy = CheckpointPolicy {
+                path: d.join("state.tick"),
+                every_actions: 5,
+                max_wall: Budget::unlimited(),
+                stop_after_checkpoints: Some(1),
+            };
+            run_checkpointed(Sources::files(&d, 4).unwrap(), p, &hosts, &plain_cfg(), None, Some(&policy), None)
+                .unwrap();
+            let payload = tit_core::checkpoint::read_checkpoint(&policy.path).unwrap();
+            std::fs::remove_dir_all(&d).unwrap();
+            assert!(ReplayCheckpoint::decode(&payload).is_ok());
+            payload
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512)
+        ) {
+            let _ = ReplayCheckpoint::decode(&data);
+        }
+
+        #[test]
+        fn decode_never_panics_on_a_damaged_checkpoint(
+            pos in proptest::prelude::any::<usize>(),
+            flip in 1u8..=255,
+            cut in proptest::prelude::any::<usize>()
+        ) {
+            let mut payload = sample_payload().to_vec();
+            let at = pos % payload.len();
+            payload[at] ^= flip;
+            let _ = ReplayCheckpoint::decode(&payload);
+            let _ = ReplayCheckpoint::decode(&payload[..cut % payload.len()]);
+        }
+    }
 }

@@ -340,3 +340,44 @@ mod tests {
         assert_eq!(key(&base), key(&base));
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Request-shaped garbage: JSON punctuation, the protocol's keys and
+    /// values, escapes, numbers and raw bytes.
+    fn request_text() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 24] = [
+            "{", "}", "[", "]", "\"", ":", ",", " ", "\"op\"", "\"replay\"", "\"np\"",
+            "\"trace_dir\"", "\"store\"", "\"drop_ranks\"", "\"remap\"", "\"max_wall_s\"",
+            "\"nodes\"", "4", "-1e308", "1e999", "\\u", "d83d", "\\", "null",
+        ];
+        proptest::collection::vec((0usize..28, any::<u8>()), 0..64).prop_map(|picks| {
+            let mut out = Vec::new();
+            for (i, byte) in picks {
+                match PIECES.get(i) {
+                    Some(piece) => out.extend_from_slice(piece.as_bytes()),
+                    None => out.push(byte),
+                }
+            }
+            String::from_utf8_lossy(&out).into_owned()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn parse_request_never_panics(line in request_text()) {
+            let _ = parse_request(&line);
+            let _ = parse_request(&format!("{{\"op\":\"replay\",{line}"));
+        }
+
+        #[test]
+        fn parse_request_survives_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..512)
+        ) {
+            let _ = parse_request(&String::from_utf8_lossy(&data));
+        }
+    }
+}

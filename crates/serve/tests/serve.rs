@@ -309,6 +309,39 @@ fn store_requests_match_trace_dir_and_fail_closed_when_damaged() {
     let _ = std::fs::remove_dir_all(&d);
 }
 
+/// A rank file claiming pid 900000000 is a typed load error naming
+/// the file and line — not an allocation abort that takes the daemon
+/// down — and the next request on the same connection is served.
+#[test]
+fn pid_bomb_trace_is_a_typed_error_and_the_daemon_keeps_serving() {
+    let d = scratch("bomb");
+    write_ring(&d, 3, 2);
+    let good = d.display().to_string();
+    let bomb = d.join("bomb");
+    write_ring(&bomb, 3, 2);
+    std::fs::write(bomb.join("SG_process1.trace"), "p1 wait\np900000000 compute 1e6\n").unwrap();
+    let bomb = bomb.display().to_string();
+
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.port());
+    let resp = c.roundtrip(&format!(
+        "{{\"op\":\"replay\",\"id\":\"b\",\"trace_dir\":{bomb:?},\"np\":3}}"
+    ));
+    assert_eq!(field(&resp, "status"), Some("error"), "{resp}");
+    assert_eq!(field(&resp, "code"), Some("trace_load"), "{resp}");
+    let detail = field(&resp, "detail").unwrap_or_default();
+    assert!(detail.contains("SG_process1.trace") && detail.contains("line 2"), "{resp}");
+
+    let resp = c.roundtrip(&format!(
+        "{{\"op\":\"replay\",\"id\":\"g\",\"trace_dir\":{good:?},\"np\":3}}"
+    ));
+    assert_eq!(field(&resp, "status"), Some("ok"), "{resp}");
+
+    server.drain();
+    server.wait().unwrap();
+    let _ = std::fs::remove_dir_all(&d);
+}
+
 #[test]
 fn replay_after_drain_is_refused_as_draining() {
     let server = Server::start(ServerConfig::default()).unwrap();

@@ -6,7 +6,10 @@
 # (truncated tail, bit-flipped action, dropped rank, short transfer)
 # and replayed with --degraded. Each run must exit 3 (partial success)
 # with a completeness ratio strictly below 1.0 and must not panic; the
-# undamaged bundle must exit 0 with a ratio of exactly 1.0.
+# undamaged bundle must exit 0 with a ratio of exactly 1.0. A "pid bomb"
+# (one line claiming p900000000) must fail closed under a 4 GiB
+# address-space limit: strict replay and the analyzer exit 1, degraded
+# replay trims the rank and exits 3, and nothing aborts on an allocation.
 #
 # Part 2 — kill and resume: a replay is paused deterministically right
 # after its first checkpoint (--stop-after-checkpoints, the designed
@@ -29,7 +32,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 # expect_code WANT CMD... — run CMD, demand the exact exit code and the
-# absence of a panic message.
+# absence of a panic or allocation-failure message.
 expect_code() {
   local want=$1; shift
   set +e
@@ -41,8 +44,8 @@ expect_code() {
     cat "$work/out.txt" >&2
     exit 1
   fi
-  if grep -q "panicked" "$work/out.txt"; then
-    echo "chaos_replay: FAIL: panic in: $*" >&2
+  if grep -qE "panicked|memory allocation" "$work/out.txt"; then
+    echo "chaos_replay: FAIL: panic or allocation failure in: $*" >&2
     cat "$work/out.txt" >&2
     exit 1
   fi
@@ -70,6 +73,8 @@ damage() {
       f=$work/damaged/SG_process0.trace
       size=$(wc -c <"$f")
       head -c $((size * 3 / 4)) "$f" >"$f.cut" && mv "$f.cut" "$f" ;;
+    pid-bomb)       # one line claims a pid far beyond the process set
+      sed -i '2i p900000000 compute 1e6' "$work/damaged/SG_process1.trace" ;;
     *) echo "chaos_replay: unknown fault class $1" >&2; exit 2 ;;
   esac
 }
@@ -95,6 +100,17 @@ if [ "$r" != "1" ] && [ "$r" != "1.0" ]; then
   exit 1
 fi
 echo "chaos_replay:   clean: exit 0, completeness $r"
+
+# bounded CMD... — run CMD under a 4 GiB address-space limit, so a
+# loader that sizes anything by a claimed pid aborts fast instead of
+# exhausting the machine.
+bounded() { (ulimit -v 4194304; exec "$@"); }
+
+damage pid-bomb
+expect_code 1 bounded "$BIN" --trace-dir "$work/damaged" --np 4 --jobs 2
+expect_code 3 bounded "$BIN" --trace-dir "$work/damaged" --np 4 --degraded
+expect_code 1 bounded "$(dirname "$BIN")/tit-analyze" --trace-dir "$work/damaged" --np 4
+echo "chaos_replay:   pid-bomb: replay --jobs 2 exit 1, --degraded exit 3, analyze exit 1"
 
 echo "chaos_replay: part 2 — kill at a checkpoint boundary, resume, compare"
 "$BIN" --trace-dir "$src" --np 4 --timed-trace "$work/ref.csv" >"$work/ref.out"

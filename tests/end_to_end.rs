@@ -36,7 +36,7 @@ fn lu_pipeline_extracts_exactly_and_replays() {
     // Extraction recovers the program's exact trace, up to coalescing
     // of back-to-back CPU bursts (PAPI counters are only sampled at MPI
     // boundaries, so adjacent bursts merge — same flops, same timing).
-    let got = TiTrace::load_per_process(&ti).unwrap();
+    let got = titr::trace::load_exact(&ti, nproc, 1).unwrap();
     let mut want = titr::npb::program_trace(&lu.program(), nproc);
     want.coalesce_computes();
     assert_eq!(got, want);
@@ -63,7 +63,7 @@ fn stencil_pipeline_through_folding() {
     let ti = dir.join("ti");
     acquire(&cfg.program(), nproc, AcquisitionMode::Folding(2), &exact(), &tau).unwrap();
     tau2ti(&tau, nproc, &ti, 1).unwrap();
-    let got = TiTrace::load_per_process(&ti).unwrap();
+    let got = titr::trace::load_exact(&ti, nproc, 1).unwrap();
     assert_eq!(got, cfg.trace(), "folding must not change the trace");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -88,8 +88,8 @@ fn gathered_bundle_roundtrips_and_replays() {
     let restored_dir = dir.join("restored");
     let restored = unbundle(&bpath, &restored_dir).unwrap();
     assert_eq!(restored.len(), nproc);
-    let a = TiTrace::load_per_process(&ti).unwrap();
-    let b = TiTrace::load_per_process(&restored_dir).unwrap();
+    let a = titr::trace::load_exact(&ti, nproc, 1).unwrap();
+    let b = titr::trace::load_exact(&restored_dir, nproc, 1).unwrap();
     assert_eq!(a, b);
     std::fs::remove_dir_all(&dir).unwrap();
 }

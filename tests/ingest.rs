@@ -1,10 +1,11 @@
 //! Differential and property tests for PR 4's ingestion fast path.
 //!
-//! The contract under test: the parallel loader is **indistinguishable**
-//! from the serial one — identical traces (byte-identical when
-//! re-serialised), identical errors on every fault-injection class the
-//! pipeline can suffer — and the compact struct-of-arrays representation
-//! round-trips the boxed `Action` form losslessly.
+//! The contract under test: `load_exact` with any worker count is
+//! **indistinguishable** from the serial `jobs = 1` oracle — identical
+//! traces (byte-identical when re-serialised), identical errors on every
+//! fault-injection class the pipeline can suffer — and the compact
+//! struct-of-arrays representation round-trips the boxed `Action` form
+//! losslessly.
 
 use proptest::prelude::*;
 use titr::extract::faultinject::Injector;
@@ -49,88 +50,180 @@ fn merged_bytes(t: &TiTrace) -> Vec<u8> {
     buf
 }
 
+/// Loads `dir`'s ranks `0..n` serially (the oracle) and with `jobs`
+/// workers, demanding the same trace or the same error from both.
+fn load_both(dir: &std::path::Path, n: usize, jobs: usize) -> Result<TiTrace, ingest::IngestError> {
+    let serial = ingest::load_exact(dir, n, 1);
+    let parallel = ingest::load_exact(dir, n, jobs);
+    match (&serial, &parallel) {
+        (Err(s), Err(p)) => {
+            assert_eq!((s.rank, s.source.kind()), (p.rank, p.source.kind()), "jobs={jobs}");
+            assert_eq!(s.to_string(), p.to_string(), "jobs={jobs}");
+        }
+        (Ok(s), Ok(p)) => {
+            assert_eq!(s, p, "jobs={jobs}");
+            assert_eq!(merged_bytes(s), merged_bytes(p), "jobs={jobs}");
+        }
+        (s, p) => panic!("jobs={jobs}: loaders disagree: serial {s:?} vs parallel {p:?}"),
+    }
+    serial
+}
+
 #[test]
 fn parallel_load_is_byte_identical_to_serial() {
     let dir = tmp("bytes");
-    rich_trace(8, 20).save_per_process(&dir).unwrap();
-    let serial = TiTrace::load_per_process(&dir).unwrap();
+    let t = rich_trace(8, 20);
+    t.save_per_process(&dir).unwrap();
     for jobs in [0, 2, 5, 8, 32] {
-        let parallel = ingest::load_per_process_jobs(&dir, jobs).unwrap();
-        assert_eq!(parallel, serial, "jobs={jobs}");
-        assert_eq!(merged_bytes(&parallel), merged_bytes(&serial), "jobs={jobs}");
+        assert_eq!(load_both(&dir, 8, jobs).unwrap(), t, "jobs={jobs}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Both loaders must fail identically on a truncated rank file (the
-/// tail cut mid-line makes the last line unparseable).
+/// Both worker counts must fail identically on a truncated rank file
+/// (the tail cut mid-line makes the last line unparseable).
 #[test]
 fn truncation_fails_identically_on_both_loaders() {
     let dir = tmp("trunc");
     rich_trace(6, 10).save_per_process(&dir).unwrap();
     Injector::new(0x7A).truncate_file(&dir.join(process_trace_filename(3))).unwrap();
-    let serial = TiTrace::load_per_process(&dir);
-    let parallel = ingest::load_per_process_jobs(&dir, 4);
-    match (serial, parallel) {
-        (Err(s), Err(p)) => {
-            assert_eq!(s.kind(), p.kind());
-            assert_eq!(s.to_string(), p.to_string());
-        }
-        // A truncation can land exactly on a line boundary, leaving a
-        // shorter but well-formed file: then both must succeed equally.
-        (Ok(s), Ok(p)) => assert_eq!(s, p),
-        (s, p) => panic!("loaders disagree: serial {s:?} vs parallel {p:?}"),
+    // A truncation can land exactly on a line boundary, leaving a
+    // shorter but well-formed file: then both must succeed equally.
+    if let Err(e) = load_both(&dir, 6, 4) {
+        assert_eq!(e.rank, 3, "{e}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A flipped bit either corrupts a keyword/number (parse error on both
-/// loaders, same message) or flips a digit silently (same trace on
+/// A flipped bit either corrupts a keyword/number/pid (the same error
+/// at both worker counts) or flips a digit silently (same trace on
 /// both). With this seed set, both cases occur across the sweep.
 #[test]
 fn bit_flips_fail_or_survive_identically() {
     for seed in 0..8u64 {
         let dir = tmp(&format!("flip{seed}"));
         rich_trace(4, 6).save_per_process(&dir).unwrap();
-        let victim = dir.join(process_trace_filename((seed % 4) as usize));
-        Injector::new(seed).flip_bit(&victim).unwrap();
-        let serial = TiTrace::load_per_process(&dir);
-        let parallel = ingest::load_per_process_jobs(&dir, 3);
-        match (serial, parallel) {
-            (Err(s), Err(p)) => {
-                assert_eq!(s.kind(), p.kind(), "seed {seed}");
-                assert_eq!(s.to_string(), p.to_string(), "seed {seed}");
-            }
-            (Ok(s), Ok(p)) => assert_eq!(s, p, "seed {seed}"),
-            (s, p) => panic!("seed {seed}: loaders disagree: {s:?} vs {p:?}"),
+        let victim = (seed % 4) as usize;
+        Injector::new(seed).flip_bit(&dir.join(process_trace_filename(victim))).unwrap();
+        if let Err(e) = load_both(&dir, 4, 3) {
+            assert_eq!(e.rank, victim, "seed {seed}: {e}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// Dropping a rank's file ends discovery at the same point for both
-/// loaders (dropping rank 0 is the NotFound case for both).
+/// Dropping a rank's file ends discovery at the gap for both worker
+/// counts (dropping rank 0 leaves nothing to discover), and a load of
+/// the full width names the dropped rank on both.
 #[test]
 fn dropped_ranks_fail_identically_on_both_loaders() {
     for victim in [0usize, 2, 5] {
         let dir = tmp(&format!("drop{victim}"));
         rich_trace(6, 4).save_per_process(&dir).unwrap();
         Injector::new(9).drop_rank(&dir, victim).unwrap();
-        let serial = TiTrace::load_per_process(&dir);
-        let parallel = ingest::load_per_process_jobs(&dir, 4);
-        match (serial, parallel) {
-            (Err(s), Err(p)) => {
-                assert_eq!(s.kind(), p.kind(), "victim {victim}");
-                assert_eq!(s.to_string(), p.to_string(), "victim {victim}");
-            }
-            (Ok(s), Ok(p)) => {
-                assert_eq!(s, p, "victim {victim}");
-                assert_eq!(s.num_processes(), victim, "discovery stops at the gap");
-            }
-            (s, p) => panic!("victim {victim}: loaders disagree: {s:?} vs {p:?}"),
-        }
+        let n = ingest::rank_file_count(&dir);
+        let found = load_both(&dir, n, 4).unwrap();
+        assert_eq!(found.num_processes(), victim, "discovery stops at the gap");
+        let e = load_both(&dir, 6, 4).unwrap_err();
+        assert_eq!((e.rank, e.source.kind()), (victim, std::io::ErrorKind::NotFound));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The lowest rank each read policy holds damaged in `dir`: the rank
+/// `load_exact` fails on, the lowest rank `tit-lint` reports a load
+/// finding (TL0015, TL0016, TL0018) for, and the lowest rank the
+/// degraded replay trims or stubs.
+fn lowest_damaged_rank_per_policy(dir: &std::path::Path, n: usize) -> [Option<usize>; 3] {
+    use titr::lint::LintCode;
+    use titr::platform::{desc::PlatformDesc, presets};
+    use titr::simkern::resource::HostId;
+    let strict = ingest::load_exact(dir, n, 1).err().map(|e| e.rank);
+    let lint = titr::lint::lint_dir(dir, n, &titr::lint::LintConfig::default())
+        .findings
+        .iter()
+        .filter(|f| {
+            matches!(
+                f.code,
+                LintCode::MissingRankFile | LintCode::ParseFailure | LintCode::RankMismatch
+            )
+        })
+        .map(|f| f.primary.rank)
+        .min();
+    let hosts: Vec<HostId> = (0..n as u32).map(HostId).collect();
+    let platform = PlatformDesc::single(presets::bordereau_one_core(n)).build();
+    let cfg = titr::replay::ReplayConfig::default();
+    let degraded = titr::replay::replay_files_degraded(dir, n, platform, &hosts, &cfg, None)
+        .unwrap()
+        .ranks
+        .iter()
+        .map(|r| r.rank)
+        .min();
+    [strict, lint, degraded]
+}
+
+/// The strict loader, the linter and the degraded scan read rank files
+/// through one reader, so on every fault class they agree on the first
+/// damaged rank (or that there is none).
+#[test]
+fn read_policies_agree_on_the_lowest_damaged_rank() {
+    let n = 4;
+    type Damage = Box<dyn Fn(&std::path::Path)>;
+    let mut cases: Vec<(String, Damage)> = Vec::new();
+    for seed in 0..6u64 {
+        let victim = process_trace_filename((seed % 4) as usize);
+        let v = victim.clone();
+        cases.push((
+            format!("truncate {seed}"),
+            Box::new(move |d| drop(Injector::new(seed).truncate_file(&d.join(&v)).unwrap())),
+        ));
+        cases.push((
+            format!("bit-flip {seed}"),
+            Box::new(move |d| drop(Injector::new(seed).flip_bit(&d.join(&victim)).unwrap())),
+        ));
+        cases.push((
+            format!("short-transfer {seed}"),
+            Box::new(move |d| {
+                let files: Vec<_> = (0..n).map(|r| d.join(process_trace_filename(r))).collect();
+                let bundle = d.join("gather.bundle");
+                titr::extract::gather::bundle(&files, &bundle).unwrap();
+                for f in &files {
+                    std::fs::remove_file(f).unwrap();
+                }
+                Injector::new(seed).short_transfer(&bundle).unwrap();
+                let _ = titr::extract::gather::unbundle(&bundle, d);
+            }),
+        ));
+    }
+    for victim in [0usize, 2, 3] {
+        cases.push((
+            format!("drop-rank {victim}"),
+            Box::new(move |d| drop(Injector::new(1).drop_rank(d, victim).unwrap())),
+        ));
+    }
+    for (label, line) in [("foreign pid", "p0 wait"), ("pid bomb", "p900000000 compute 1e6")] {
+        cases.push((
+            label.to_string(),
+            Box::new(move |d| {
+                let path = d.join(process_trace_filename(2));
+                let mut text = std::fs::read_to_string(&path).unwrap();
+                text.insert_str(text.find('\n').unwrap() + 1, &format!("{line}\n"));
+                std::fs::write(&path, text).unwrap();
+            }),
+        ));
+    }
+    let mut damaged = 0;
+    for (label, damage) in &cases {
+        let dir = tmp(&format!("agree-{}", label.replace(' ', "-")));
+        rich_trace(n, 6).save_per_process(&dir).unwrap();
+        damage(&dir);
+        let [strict, lint, degraded] = lowest_damaged_rank_per_policy(&dir, n);
+        assert_eq!(strict, lint, "{label}: load_exact vs tit-lint");
+        assert_eq!(strict, degraded, "{label}: load_exact vs degraded scan");
+        damaged += usize::from(strict.is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert!(damaged >= cases.len() / 2, "only {damaged} of {} inputs were damaged", cases.len());
 }
 
 /// The lint loader's parallel path produces the same report on damaged
@@ -273,10 +366,7 @@ proptest! {
         }
         let dir = tmp(&format!("prop{jobs}-{}", t.num_actions()));
         t.save_per_process(&dir).unwrap();
-        let serial = TiTrace::load_per_process(&dir).unwrap();
-        let parallel = ingest::load_per_process_jobs(&dir, jobs).unwrap();
-        prop_assert_eq!(&parallel, &serial);
-        prop_assert_eq!(merged_bytes(&parallel), merged_bytes(&serial));
+        prop_assert_eq!(load_both(&dir, 4, jobs).unwrap(), t);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

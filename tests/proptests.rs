@@ -307,7 +307,7 @@ fn semantically_intact(dir: &Path) -> bool {
         }
         t
     }
-    TiTrace::load_per_process(dir)
+    titr::trace::load_exact(dir, titr::trace::rank_file_count(dir), 1)
         .map(|t| strip_advisory(t).actions == strip_advisory(sentinel_trace()).actions)
         .unwrap_or(false)
 }
